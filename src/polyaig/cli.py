@@ -209,16 +209,15 @@ def cmd_pig_sample(args):
 # ---------------------------------------------------------------------------
 
 def _pooled_samples(runs):
+    """The runs stacked into one new PosteriorSamples; the runs are unchanged."""
     first = runs[0]
     if len(runs) == 1:
         return first
-    draws = np.vstack([r.draws for r in runs])
-    iters = np.concatenate([r.iters for r in runs])
     meta = dict(first.meta)
     meta["chains"] = len(runs)
     meta["chain_sizes"] = [int(r.size) for r in runs]
-    first.draws, first.iters, first.meta = draws, iters, meta
-    return first
+    return PosteriorSamples(np.vstack([r.draws for r in runs]), list(first.names),
+                            np.concatenate([r.iters for r in runs]), meta)
 
 
 def cmd_fit_dirichlet(args):

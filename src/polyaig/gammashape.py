@@ -34,6 +34,8 @@ _INTEGER_LADDER = PigParams.integer()
 
 _TAIL_LOG_GAP = np.log(1e10)
 _MAX_LOG_JUMP = 0.5
+# shape_posterior_grid halves its spacing at most this many times
+_MAX_GRID_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -201,11 +203,15 @@ def shape_posterior_quadrature(y, prior, grid):
 
 
 def shape_posterior_grid(y, prior, points=None):
-    """Geometric grid around the posterior mode, wide enough to be accepted.
+    """Geometric grid around the posterior mode, wide and fine enough to be
+    accepted by `shape_posterior_quadrature`.
 
     The mode solves digamma(alpha) = log beta'_y / b'; Newton from a crude
     start converges in a handful of steps. The default point count scales
-    with b' so the 0.5 log-jump budget holds near the origin.
+    with b' so the 0.5 log-jump budget holds near the origin; where the
+    density is steeper than that (large alpha with large b'), the spacing
+    is halved, up to `_MAX_GRID_DOUBLINGS` times, until every adjacent
+    log-density jump is within the budget.
     """
     from scipy.special import polygamma
 
@@ -225,4 +231,10 @@ def shape_posterior_grid(y, prior, points=None):
             hyper, np.array([mode]))[0] - (_TAIL_LOG_GAP + 20.0):
         hi *= 1.5
     lo = max(mode * 1e-4, 1e-8)
-    return np.geomspace(lo, hi, points)
+    grid = np.geomspace(lo, hi, points)
+    for _ in range(_MAX_GRID_DOUBLINGS):
+        if np.abs(np.diff(_log_post(hyper, grid))).max() <= _MAX_LOG_JUMP:
+            break
+        points = 2 * points - 1
+        grid = np.geomspace(lo, hi, points)
+    return grid

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from .rng import gig_rvs
+from .rng import MAX_REJECTION_PASSES, _OMEGA_SPLIT, gig_rvs, rejection_cap_error
 from .special import digamma, log_gamma
 
 _SQRT2 = np.sqrt(2.0)
@@ -214,6 +214,85 @@ def pig_tail_mean(params, config):
     return float(np.sum(delta * delta / (1.0 + delta * params.tilt)))
 
 
+def _shared_split(deltas, tilts):
+    """Number k0 of leading omega > `_OMEGA_SPLIT` terms when every row has
+    exactly those, and its rejection entries are the suffix k >= k0; else None.
+
+    omega = tilt * delta_k rounds monotonically in tilt, so every row's split
+    lies between those of the smallest and the largest tilt.
+    """
+    fast = tilts.max() * deltas <= _OMEGA_SPLIT
+    k0 = deltas.size - int(fast.sum())
+    if fast[k0:].all() and np.array_equal(tilts.min() * deltas <= _OMEGA_SPLIT, fast):
+        return k0
+    return None
+
+
+def _ladder_gig_block(deltas, tilts, rng):
+    """(tilts x terms) block of exact GIG(-3/2, delta_k, tilt_i) draws.
+
+    Same values from the same random stream as
+    `gig_rvs(-1.5, deltas[None, :], tilts[:, None], rng)`, drawn in its
+    order: the untilted rows, then the omega = delta_k * tilt_i <=
+    `_OMEGA_SPLIT` entries by tilt rejection (row-major, pass by pass),
+    then the omega > `_OMEGA_SPLIT` entries. The first and last groups go
+    through `gig_rvs`; the rejection entries are drawn here, with
+    delta_k^2/2 computed once per term and -tilt^2/2 once per row. When
+    all rows share one suffix of rejection entries (decreasing deltas, and
+    one tilt or tilts whose splits coincide), the first pass runs on that
+    dense block.
+    """
+    rows, kt = tilts.size, deltas.size
+    out = np.empty((rows, kt))
+    tilted = tilts > 0.0
+    if not tilted.all():
+        out[~tilted] = gig_rvs(-1.5, deltas, np.zeros((rows - tilted.sum(), 1)), rng)
+        if not tilted.any():
+            return out
+        tilts = tilts[tilted]
+    blk = out if tilts.size == rows else np.empty((tilts.size, kt))
+    flat = blk.reshape(-1)
+    half_chi2 = deltas**2 / 2.0
+    neg_half_tilt2 = -0.5 * tilts**2
+    k0 = _shared_split(deltas, tilts)
+    if k0 is not None:
+        dense = blk[:, k0:]
+        np.divide(half_chi2[k0:], rng.standard_gamma(1.5, size=dense.size)
+                  .reshape(dense.shape), out=dense)
+        keep = rng.random(dense.size).reshape(dense.shape) <= np.exp(
+            neg_half_tilt2[:, None] * dense)
+        r, c = np.nonzero(~keep)
+        pos, chi_r, tilt_r = r * kt + (c + k0), half_chi2[c + k0], neg_half_tilt2[r]
+        passes = 1
+    else:
+        fast = tilts[:, None] * deltas <= _OMEGA_SPLIT
+        pos = np.flatnonzero(fast)
+        chi_r = np.broadcast_to(half_chi2, fast.shape)[fast]
+        tilt_r = np.repeat(neg_half_tilt2, fast.sum(axis=1))
+        passes = 0
+    while pos.size:
+        if passes == MAX_REJECTION_PASSES:
+            raise rejection_cap_error(
+                "P-IG ladder tilt rejection", pos.size, order=-1.5,
+                chi=np.sqrt(2.0 * chi_r), tilt=np.sqrt(-2.0 * tilt_r))
+        x = chi_r / rng.standard_gamma(1.5, size=pos.size)
+        keep = rng.random(pos.size) <= np.exp(tilt_r * x)
+        flat[pos[keep]] = x[keep]
+        rej = ~keep
+        pos, chi_r, tilt_r = pos[rej], chi_r[rej], tilt_r[rej]
+        passes += 1
+    if k0 is not None:
+        if k0:
+            blk[:, :k0] = gig_rvs(-1.5, deltas[:k0], tilts[:, None], rng)
+    elif not fast.all():
+        slow = ~fast
+        blk[slow] = gig_rvs(-1.5, np.broadcast_to(deltas, slow.shape)[slow],
+                            np.broadcast_to(tilts[:, None], slow.shape)[slow], rng)
+    if blk is not out:
+        out[tilted] = blk
+    return out
+
+
 def _pig_component_sums(deltas, tilts, rng):
     """Sum of exact GIG(-3/2, delta_k, tilt_i) draws over k, one per tilt."""
     n, kt = tilts.size, deltas.size
@@ -221,9 +300,7 @@ def _pig_component_sums(deltas, tilts, rng):
     out = np.empty(n)
     for lo in range(0, n, rows_per_chunk):
         hi = min(n, lo + rows_per_chunk)
-        chi = np.broadcast_to(deltas, (hi - lo, kt))
-        tilt = np.broadcast_to(tilts[lo:hi, None], (hi - lo, kt))
-        out[lo:hi] = gig_rvs(-1.5, chi, tilt, rng).sum(axis=1)
+        out[lo:hi] = _ladder_gig_block(deltas, tilts[lo:hi], rng).sum(axis=1)
     return out
 
 

@@ -35,6 +35,29 @@ _OMEGA_SPLIT = 2.0
 # switches from inverse-CDF to exponential-tilt tail rejection.
 _TN_TAIL_CUTOFF = 4.0
 
+# Pass cap of every vectorized rejection loop; reaching it raises. The tilt
+# rejections accept a pending entry with probability at least 2 K_1(2) ~ 0.28
+# per pass (|order| = 1, omega = 2), the shifted ratio-of-uniforms about 0.7
+# and the normal tail above 0.97, so a correct draw outlasts the cap with
+# probability below 1e-1000. The plain ratio-of-uniforms (0 <= order < 1,
+# omega <= 1) accepts less as omega -> 0 (about 1% at order 0, omega 1e-3);
+# below omega ~ 1e-4 large batches reach the cap.
+MAX_REJECTION_PASSES = 10_000
+
+
+def _describe(values):
+    values = np.atleast_1d(values)
+    lo, hi = values.min(), values.max()
+    return f"{lo:.6g}" if lo == hi else f"{lo:.6g} to {hi:.6g}"
+
+
+def rejection_cap_error(sampler, remaining, **params):
+    """ValueError for a rejection loop that hit `MAX_REJECTION_PASSES`,
+    naming the parameters (value or range) of the entries still pending."""
+    named = ", ".join(f"{k} {_describe(v)}" for k, v in params.items())
+    return ValueError(f"{sampler}: {remaining} draw(s) still rejected after "
+                      f"{MAX_REJECTION_PASSES} passes ({named})")
+
 
 def make_rng(seed):
     """Root generator for a run."""
@@ -108,7 +131,12 @@ def _tn_tail_rejection(a, rng, n):
     lam = 0.5 * (a + np.sqrt(a * a + 4.0))
     out = np.empty(n)
     todo = np.arange(n)
+    passes = 0
     while todo.size:
+        if passes == MAX_REJECTION_PASSES:
+            raise rejection_cap_error("truncated-normal tail rejection",
+                                      todo.size, cutoff=a)
+        passes += 1
         z = a + rng.exponential(1.0 / lam, size=todo.size)
         keep = np.log(rng.random(todo.size)) <= -0.5 * (z - lam) ** 2
         out[todo[keep]] = z[keep]
@@ -144,12 +172,9 @@ def _gig_log_kernel(x, lam, omega):
     return (lam - 1.0) * np.log(x) - 0.5 * omega * (x + 1.0 / x)
 
 
-def _gig2_rou_shift(lam, omega, rng):
-    """Two-parameter GIG(lam, omega) draws by ratio-of-uniforms with mode shift.
-
-    Valid for lam >= 1 or omega > 1; `omega` is an array, one draw each.
-    Kernel: x^(lam-1) exp(-omega (x + 1/x) / 2).
-    """
+def _rou_shift_box(lam, omega):
+    """Mode, log-kernel at the mode, and lower u-bound and u-width of the
+    mode-shifted ratio-of-uniforms rectangle, elementwise in `omega`."""
     t = lam - 1.0
     if lam >= 1.0:
         mode = (t + np.hypot(t, omega)) / omega
@@ -170,11 +195,32 @@ def _gig2_rou_shift(lam, omega, rng):
     lg_mode = _gig_log_kernel(mode, lam, omega)
     u_plus = (y_hi - mode) * np.exp(0.5 * (_gig_log_kernel(y_hi, lam, omega) - lg_mode))
     u_minus = (y_lo - mode) * np.exp(0.5 * (_gig_log_kernel(y_lo, lam, omega) - lg_mode))
+    return mode, lg_mode, u_minus, u_plus - u_minus
+
+
+def _gig2_rou_shift(lam, omega, rng):
+    """Two-parameter GIG(lam, omega) draws by ratio-of-uniforms with mode shift.
+
+    Valid for lam >= 1 or omega > 1; `omega` is an array, one draw each.
+    Kernel: x^(lam-1) exp(-omega (x + 1/x) / 2). The rectangle is set up
+    once per distinct omega (P-IG ladders repeat each term's omega on
+    every row that shares a tilt).
+    """
+    distinct, where = np.unique(omega, return_inverse=True)
+    mode, lg_mode, u_minus, u_range = (v[where] for v in _rou_shift_box(lam, distinct))
 
     out = np.empty(omega.shape)
     todo = np.arange(omega.size)
+    passes = 0
     while todo.size:
-        u = rng.uniform(u_minus[todo], u_plus[todo])
+        if passes == MAX_REJECTION_PASSES:
+            raise rejection_cap_error("GIG(|order|, omega) ratio-of-uniforms with "
+                                      "mode shift", todo.size, order=lam,
+                                      omega=omega[todo])
+        passes += 1
+        # the values and stream of rng.uniform(u_minus, u_plus), which
+        # computes low + (high - low) * U, without its per-element broadcast
+        u = u_minus[todo] + u_range[todo] * rng.random(todo.size)
         v = rng.random(todo.size)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = u / v + mode[todo]
@@ -196,7 +242,12 @@ def _gig2_rou_plain(lam, omega, rng):
 
     out = np.empty(omega.shape)
     todo = np.arange(omega.size)
+    passes = 0
     while todo.size:
+        if passes == MAX_REJECTION_PASSES:
+            raise rejection_cap_error("GIG(|order|, omega) ratio-of-uniforms",
+                                      todo.size, order=lam, omega=omega[todo])
+        passes += 1
         u = rng.uniform(0.0, u_max[todo])
         v = rng.random(todo.size)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,7 +283,12 @@ def _tilt_rejection_neg_order(order, chi, tilt, rng):
     shape = -order
     out = np.empty(chi.shape)
     todo = np.arange(chi.size)
+    passes = 0
     while todo.size:
+        if passes == MAX_REJECTION_PASSES:
+            raise rejection_cap_error("GIG tilt rejection", todo.size, order=order,
+                                      chi=chi[todo], tilt=tilt[todo])
+        passes += 1
         x = (chi[todo] ** 2 / 2.0) / rng.standard_gamma(shape, size=todo.size)
         keep = rng.random(todo.size) <= np.exp(-0.5 * tilt[todo] ** 2 * x)
         out[todo[keep]] = x[keep]
@@ -280,7 +336,13 @@ def gig_rvs(order, chi, tilt, rng):
                 else:
                     # mirror branch: tilt a gamma proposal by exp(-chi^2/(2x))
                     todo = np.arange(c.size)[fast]
+                    passes = 0
                     while todo.size:
+                        if passes == MAX_REJECTION_PASSES:
+                            raise rejection_cap_error(
+                                "GIG gamma-tilt rejection", todo.size, order=order,
+                                chi=c[todo], tilt=g[todo])
+                        passes += 1
                         x = rng.standard_gamma(order, size=todo.size) * (2.0 / g[todo] ** 2)
                         with np.errstate(divide="ignore"):
                             keep = rng.random(todo.size) <= np.exp(

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from polyaig.cli import main
+from polyaig.chain import PosteriorSamples
+from polyaig.cli import _pooled_samples, main
 from polyaig.io import parse_reals_csv, read_samples_csv
 
 FIXTURE = "data/opioid_deaths.csv"
@@ -143,8 +144,43 @@ class TestFitGammaShape:
         _, draws, names = read_samples_csv(out / "samples.csv")
         assert names == ["alpha"] and np.all(draws > 0)
 
+    def test_steep_posterior_fit_is_not_refused(self, tmp_path):
+        # Gamma(20, 5) with n = 200 needs a finer oracle grid than the default
+        y = np.random.default_rng(np.random.SeedSequence([1, 2, 2, 0])).gamma(
+            20.0, 1.0 / 5.0, size=200)
+        data = tmp_path / "y20.csv"
+        data.write_text("y\n" + "".join(f"{v:.17g}\n" for v in y))
+        out = tmp_path / "g20"
+        code = run_cli("fit-gamma-shape", "--data", str(data), "--beta", "5.0",
+                       "--iters", "600", "--burnin", "50", "--thin", "1",
+                       "--seed", "3", "--out", str(out))
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        row, oracle = summary["parameters"][0], summary["meta"]["oracle"]
+        assert abs(row["mean"] - oracle["quadrature_mean"]) <= 5 * row["mcse"]
+
     def test_requires_beta(self, reals_csv):
         assert run_cli("fit-gamma-shape", "--data", str(reals_csv)) == 2
+
+
+class TestPooling:
+    def test_pooling_leaves_the_runs_unchanged(self):
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            return PosteriorSamples(rng.uniform(0.5, 2.0, (4, 2)), ["a", "b"],
+                                    np.arange(1, 5), {"seed": seed})
+
+        runs = [run(1), run(2)]
+        before = [(r.draws.copy(), r.iters.copy(), dict(r.meta)) for r in runs]
+        pooled = _pooled_samples(runs)
+        assert pooled is not runs[0]
+        for r, (draws, iters, meta) in zip(runs, before):
+            assert np.array_equal(r.draws, draws)
+            assert np.array_equal(r.iters, iters)
+            assert r.meta == meta
+        assert np.array_equal(pooled.draws, np.vstack([draws for draws, _, _ in before]))
+        assert pooled.iters.tolist() == [1, 2, 3, 4, 1, 2, 3, 4]
+        assert pooled.meta == {"seed": 1, "chains": 2, "chain_sizes": [4, 4]}
 
 
 class TestPredict:

@@ -193,6 +193,25 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="endpoint"):
             shape_posterior_quadrature(y, prior, np.geomspace(0.5, 3.05, 30000))
 
+    def test_steep_posterior_grid_is_refined_until_accepted(self):
+        # Gamma(20, 5) data, n = 200: with b' = 201 the default 20001-point
+        # grid jumps ~0.7 in log density near alpha = 7, so it is refined.
+        y = np.random.default_rng(np.random.SeedSequence([1, 2, 2, 0])).gamma(
+            20.0, 1.0 / 5.0, size=200)
+        prior = GammaShapePrior(beta=5.0)
+        grid = shape_posterior_grid(y, prior)
+        assert grid.size == 40001
+        dens = shape_posterior_quadrature(y, prior, grid)
+        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(ValueError, match="too coarse"):
+            shape_posterior_quadrature(
+                y, prior, np.geomspace(grid[0], grid[-1], 20001))
+
+    def test_accepted_default_grid_is_not_refined(self):
+        y = make_rng(20).gamma(3.0, 0.5, size=200)
+        grid = shape_posterior_grid(y, GammaShapePrior(beta=2.0))
+        assert grid.size == 20001
+
     def test_cdf_usable_for_ks(self):
         y = make_rng(19).gamma(3.0, 0.5, size=50)
         prior = GammaShapePrior(beta=2.0)

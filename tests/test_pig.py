@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyaig import pig
 from polyaig.pig import (PigParams, PigSamplerConfig, erg_laplace,
                          gig_term_mean, mc_transform, pig_laplace_closed,
                          pig_laplace_product, pig_mean, pig_sample,
                          pig_sample_with_tilts, pig_tail_mean)
-from polyaig.rng import make_rng
+from polyaig.rng import gig_rvs, make_rng
 from polyaig.special import EULER_GAMMA, log_gamma
 
 SQRT2 = np.sqrt(2.0)
@@ -250,6 +251,103 @@ class TestSampler:
                            make_rng(8), size=2 * 10**5)
         se = crude.std(ddof=1) / np.sqrt(crude.size)
         assert abs(crude.mean() - pig_mean(params)) <= 4 * se
+
+
+def _gig_rvs_row_sums(deltas, tilts, rng):
+    """The P-IG body as one general `gig_rvs` call per chunk of rows."""
+    kt = deltas.size
+    rows = max(1, pig._CHUNK_ELEMENTS // kt)
+    out = np.empty(tilts.size)
+    for lo in range(0, tilts.size, rows):
+        hi = min(tilts.size, lo + rows)
+        chi = np.broadcast_to(deltas, (hi - lo, kt))
+        tilt = np.broadcast_to(tilts[lo:hi, None], (hi - lo, kt))
+        out[lo:hi] = gig_rvs(-1.5, chi, tilt, rng).sum(axis=1)
+    return out
+
+
+def _ladder_deltas(params, terms):
+    return 1.0 / (SQRT2 * params.d_values(terms))
+
+
+class TestLadderKernel:
+    """The dedicated GIG(-3/2) ladder kernel returns exactly what the general
+    `gig_rvs` returns from the same seed and leaves the generator in the
+    same state, so chains and output files do not depend on which runs."""
+
+    @staticmethod
+    def assert_same_stream(deltas, tilts, seed=31):
+        deltas = np.asarray(deltas, dtype=float)
+        tilts = np.asarray(tilts, dtype=float)
+        rng_kernel, rng_ref = make_rng(seed), make_rng(seed)
+        got = pig._pig_component_sums(deltas, tilts, rng_kernel)
+        want = _gig_rvs_row_sums(deltas, tilts, rng_ref)
+        assert np.array_equal(got, want)
+        assert rng_kernel.random() == rng_ref.random()
+
+    def test_untilted_rows_mixed_with_tilted(self):
+        tilts = np.array([0.0, 3.0, 0.0, 0.0, 40.0, 0.7, 0.0])
+        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 150), tilts)
+
+    def test_all_rows_untilted(self):
+        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 50),
+                                np.zeros(9))
+
+    @pytest.mark.parametrize("tilt", (4.0, 8.0, 16.0))
+    def test_omega_exactly_at_the_split(self, tilt):
+        deltas = 2.0 ** -np.arange(12.0)  # omega = tilt * delta hits 2 exactly
+        assert np.any(tilt * deltas == 2.0)
+        assert np.any(tilt * deltas > 2.0) and np.any(tilt * deltas < 2.0)
+        self.assert_same_stream(deltas, np.full(25, tilt))
+        self.assert_same_stream(deltas, np.array([tilt, 1.0, tilt, 0.0, 2 * tilt]))
+
+    @pytest.mark.parametrize("tilt", (0.5, SQRT2 * 2.0, SQRT2 * 19.0, 300.0))
+    def test_one_shared_tilt(self, tilt):
+        # the gamma-shape update: every row has the same tilt
+        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 200),
+                                np.full(201, tilt))
+
+    @pytest.mark.parametrize("alpha", ([0.05, 0.4, 1.3, 2.0, 7.5, 19.0],
+                                       [0.05, 0.4, 1.3, 1.9],
+                                       [2.5, 2.9, 2.1]))
+    def test_distinct_tilt_per_row(self, alpha):
+        # the Dirichlet update: rows cycle through the per-category tilts,
+        # whose rejection entries start at different terms or all at one
+        tilts = np.tile(SQRT2 * np.array(alpha), 6)
+        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 200), tilts)
+        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 200),
+                                make_rng(5).uniform(0.0, 60.0, 40))
+
+    def test_shifted_ladder(self):
+        deltas = _ladder_deltas(PigParams.shifted(0.3), 120)
+        self.assert_same_stream(deltas, np.full(30, 5.0))
+        self.assert_same_stream(deltas, np.array([0.0, 5.0, 0.2, 11.0]))
+
+    def test_explicit_ladder_not_increasing(self):
+        ds = [3.0, 1.0, 7.0, 2.0, 2.0, 0.5, 9.0, 4.0]
+        deltas = _ladder_deltas(PigParams.explicit(ds), len(ds))
+        assert np.any(np.diff(deltas) > 0)
+        self.assert_same_stream(deltas, np.full(40, 3.0))
+        self.assert_same_stream(deltas, np.array([3.0, 0.0, 0.4, 12.0, 3.0]))
+
+    @pytest.mark.parametrize("tilts", ([0.5], [0.5, 9.0, 0.0, 2.0], [9.0] * 7))
+    def test_single_term(self, tilts):
+        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 1), tilts)
+
+    def test_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(pig, "_CHUNK_ELEMENTS", 7 * 50 + 3)  # 7 rows a chunk
+        deltas = _ladder_deltas(PigParams.integer(), 50)
+        self.assert_same_stream(deltas, np.full(23, 6.0))
+        self.assert_same_stream(deltas, np.tile([0.0, 0.9, 6.0, 30.0], 6))
+
+    def test_public_sampler_uses_the_same_stream(self):
+        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=80)
+        tilts = np.array([[0.0, 1.0], [2.0, 0.3], [5.0, 90.0]])
+        got = pig_sample_with_tilts(params, tilts, cfg, make_rng(9))
+        body = _gig_rvs_row_sums(_ladder_deltas(params, 80), np.ravel(tilts),
+                                 make_rng(9))
+        tail = pig._tail_mean_ladder(1.0, 80, tilts)
+        assert np.array_equal(got, body.reshape(tilts.shape) + tail)
 
 
 @given(st.floats(min_value=0.0, max_value=6.0),

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from polyaig.rng import (GigParams, child_rng, dirichlet_log_sample,
-                         gamma_sample, gig_rvs, gig_sample, make_rng,
-                         truncated_normal_sample)
+from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
+from polyaig.rng import (MAX_REJECTION_PASSES, GigParams, child_rng,
+                         dirichlet_log_sample, gamma_sample, gig_rvs,
+                         gig_sample, make_rng, truncated_normal_sample)
 from polyaig.special import log_bessel_k
 
 
@@ -197,6 +198,67 @@ class TestGigSample:
         out = gig_rvs(-1.5, chi, np.full((3, 4), 1.0), rng)
         assert out.shape == (3, 4)
         assert np.all(out > 0)
+
+
+class StuckGenerator:
+    """A generator whose `random` always returns 1.0, so that no rejection
+    step ever accepts; every other method is the real generator's."""
+
+    def __init__(self, seed):
+        self._rng = make_rng(seed)
+
+    def random(self, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestRejectionPassCap:
+    """Every rejection loop stops after MAX_REJECTION_PASSES passes and names
+    the parameters and the number of draws still pending."""
+
+    @staticmethod
+    def passes_message(n):
+        return f"{n} draw\\(s\\) still rejected after {MAX_REJECTION_PASSES} passes"
+
+    def test_tilt_rejection(self):
+        with pytest.raises(ValueError, match=self.passes_message(3)) as err:
+            gig_rvs(-1.5, np.array([0.5, 0.3, 0.2]), 1.0, StuckGenerator(1))
+        assert "GIG tilt rejection" in str(err.value)
+        assert "order -1.5, chi 0.2 to 0.5, tilt 1)" in str(err.value)
+
+    def test_mirror_gamma_rejection(self):
+        with pytest.raises(ValueError, match=self.passes_message(2)) as err:
+            gig_rvs(1.5, np.array([0.5, 0.5]), np.array([1.0, 2.0]),
+                    StuckGenerator(2))
+        assert "order 1.5, chi 0.5, tilt 1 to 2)" in str(err.value)
+
+    def test_ratio_of_uniforms_with_shift(self):
+        with pytest.raises(ValueError, match=self.passes_message(2)) as err:
+            gig_rvs(-1.5, np.array([2.0, 3.0]), 2.0, StuckGenerator(3))
+        assert "mode shift" in str(err.value)
+        assert "order 1.5, omega 4 to 6)" in str(err.value)
+
+    def test_ratio_of_uniforms_plain(self):
+        with pytest.raises(ValueError, match=self.passes_message(1)) as err:
+            gig_rvs(0.3, np.array([0.5]), 1.0, StuckGenerator(4))
+        assert "order 0.3, omega 0.5)" in str(err.value)
+
+    def test_truncated_normal_tail(self):
+        with pytest.raises(ValueError, match=self.passes_message(4)) as err:
+            truncated_normal_sample(0.0, 1.0, 6.0, StuckGenerator(5), size=4)
+        assert "cutoff 6)" in str(err.value)
+
+    @pytest.mark.parametrize("tilts", ([1.5] * 3, [1.5, 0.0, 4.0]))
+    def test_pig_ladder_kernel(self, tilts):
+        # rows that share their split take the dense first pass; here the
+        # mixed tilts split at different terms and take the masked one
+        with pytest.raises(ValueError, match="P-IG ladder tilt rejection") as err:
+            pig_sample_with_tilts(PigParams.integer(), tilts,
+                                  PigSamplerConfig(trunc_terms=4), StuckGenerator(6))
+        assert "order -1.5, chi" in str(err.value) and "tilt" in str(err.value)
+        assert f"after {MAX_REJECTION_PASSES} passes" in str(err.value)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
