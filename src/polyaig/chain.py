@@ -1,4 +1,5 @@
-"""Shared chain configuration and sample containers."""
+"""Chain configuration, the sample container and `sample_chain`, the one
+sweep loop that every sampler runs on."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ class ChainConfig:
     thin: int = 2
     seed: int = 0
     pig_config: PigSamplerConfig = field(default_factory=PigSamplerConfig)
-    homogeneous: bool = False
 
     def __post_init__(self):
         if self.iterations < 1 or self.burn_in < 0 or self.thin < 1:
@@ -35,8 +35,6 @@ class ChainConfig:
             "thin": self.thin,
             "seed": self.seed,
             "trunc_terms": self.pig_config.trunc_terms,
-            "tail_horizon": self.pig_config.tail_horizon,
-            "homogeneous": self.homogeneous,
         }
 
 
@@ -59,3 +57,29 @@ class PosteriorSamples:
     @property
     def size(self):
         return self.draws.shape[0]
+
+
+def sample_chain(sweep, state, config, names, meta):
+    """Run `config.iterations` sweeps of `sweep(state)` from `state`.
+
+    Every 100 sweeps `state.validate()` must pass; a failure is
+    re-raised with the sweep index. After `config.burn_in` sweeps, every
+    `config.thin`-th sweep keeps the row `state.draw()`, one value per name.
+    `meta` gains the config echo and the seed.
+    """
+    kept = np.empty((config.retained, len(names)))
+    iters = np.empty(config.retained, dtype=np.int64)
+    s = 0
+    for it in range(1, config.iterations + 1):
+        sweep(state)
+        if it % 100 == 0:
+            try:
+                state.validate()
+            except ValueError as exc:
+                raise ValueError(f"sweep {it}: {exc}") from exc
+        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
+            kept[s] = state.draw()
+            iters[s] = it
+            s += 1
+    meta = {**meta, "config": config.echo(), "seed": config.seed}
+    return PosteriorSamples(kept, list(names), iters, meta)

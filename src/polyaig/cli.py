@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .chain import ChainConfig, PosteriorSamples
-from .dirichlet import (AlphaPrior, posterior_predictive, run_chain,
-                        run_chain_homogeneous)
+from .dirichlet import (AlphaPrior, grid_mean_sd, posterior_predictive,
+                        run_chain, run_chain_homogeneous)
 from .gammashape import (GammaShapePrior, run_shape_chain, shape_posterior_grid,
                          shape_posterior_quadrature)
 from .io import (ParseError, parse_counts_csv, parse_reals_csv,
@@ -220,6 +220,20 @@ def _pooled_samples(runs):
                             np.concatenate([r.iters for r in runs]), meta)
 
 
+def _write_fit(out, samples):
+    """samples.csv, summary.json and plot_data.csv (one row per draw and
+    parameter) of a fit command."""
+    outdir = _ensure_outdir(out)
+    write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
+    write_summary_json(os.path.join(outdir, "summary.json"),
+                       summarize_samples(samples), samples.meta)
+    write_long_csv(os.path.join(outdir, "plot_data.csv"), ("parameter", "value"),
+                   ((samples.names[j], samples.draws[i, j])
+                    for i in range(samples.size) for j in range(len(samples.names))))
+    print(f"wrote samples.csv, summary.json, plot_data.csv to {outdir}")
+    return EXIT_OK
+
+
 def cmd_fit_dirichlet(args):
     cfg = _resolve(args, {
         "data": "", "id_cols": 1, "iters": 4000, "burnin": 1000, "thin": 2,
@@ -239,8 +253,7 @@ def cmd_fit_dirichlet(args):
         prior = AlphaPrior.for_categories(counts.n_categories)
     chain_config = ChainConfig(
         iterations=cfg["iters"], burn_in=cfg["burnin"], thin=cfg["thin"],
-        seed=cfg["seed"], pig_config=PigSamplerConfig(trunc_terms=cfg["trunc"]),
-        homogeneous=cfg["homogeneous"])
+        seed=cfg["seed"], pig_config=PigSamplerConfig(trunc_terms=cfg["trunc"]))
     runner = run_chain_homogeneous if cfg["homogeneous"] else run_chain
     if cfg["chains"] < 1:
         raise ConfigError("--chains must be >= 1")
@@ -252,17 +265,7 @@ def cmd_fit_dirichlet(args):
                 for chain in range(cfg["chains"])]
     samples = _pooled_samples(runs)
     samples.meta["prior_tau"] = list(prior.tau_vector(counts.n_categories))
-    samples.meta.pop("wall_time_s", None)  # keep outputs byte-identical
-
-    outdir = _ensure_outdir(cfg["out"])
-    write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
-    write_summary_json(os.path.join(outdir, "summary.json"),
-                       summarize_samples(samples), samples.meta)
-    write_long_csv(os.path.join(outdir, "plot_data.csv"), ("parameter", "value"),
-                   ((samples.names[j], samples.draws[i, j])
-                    for i in range(samples.size) for j in range(len(samples.names))))
-    print(f"wrote samples.csv, summary.json, plot_data.csv to {outdir}")
-    return EXIT_OK
+    return _write_fit(cfg["out"], samples)
 
 
 def cmd_fit_gamma_shape(args):
@@ -282,22 +285,11 @@ def cmd_fit_gamma_shape(args):
         iterations=cfg["iters"], burn_in=cfg["burnin"], thin=cfg["thin"],
         seed=cfg["seed"], pig_config=PigSamplerConfig(trunc_terms=cfg["trunc"]))
     samples = run_shape_chain(y, prior, chain_config)
-    samples.meta.pop("wall_time_s", None)
 
     grid = shape_posterior_grid(y, prior)
-    density = shape_posterior_quadrature(y, prior, grid)
-    mean = float(np.trapezoid(grid * density, grid))
-    sd = float(np.sqrt(np.trapezoid((grid - mean) ** 2 * density, grid)))
+    mean, sd = grid_mean_sd(grid, shape_posterior_quadrature(y, prior, grid))
     samples.meta["oracle"] = {"quadrature_mean": mean, "quadrature_sd": sd}
-
-    outdir = _ensure_outdir(cfg["out"])
-    write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
-    write_summary_json(os.path.join(outdir, "summary.json"),
-                       summarize_samples(samples), samples.meta)
-    write_long_csv(os.path.join(outdir, "plot_data.csv"), ("parameter", "value"),
-                   (("alpha", v) for v in samples.draws[:, 0]))
-    print(f"wrote samples.csv, summary.json, plot_data.csv to {outdir}")
-    return EXIT_OK
+    return _write_fit(cfg["out"], samples)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ independent ground truth.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PosteriorSamples
+from .chain import sample_chain
 from .pig import PigParams, pig_sample_with_tilts
 from .rng import dirichlet_log_sample, make_rng, truncated_normal_sample
 from .special import EULER_GAMMA, log_gamma
@@ -145,7 +144,7 @@ class AlphaPrior:
 class DirichletChainState:
     """Current (alpha, log_p, w, eta) of the concentration Gibbs sampler."""
 
-    alpha: np.ndarray       # (K,)
+    alpha: np.ndarray       # (K,); a float in the shared-alpha chain
     log_p: np.ndarray       # (M, K)
     w: np.ndarray           # (M, K)
     eta: np.ndarray         # (M,)
@@ -156,6 +155,9 @@ class DirichletChainState:
         row_sums = np.exp(self.log_p).sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-10):
             raise ValueError("log_p rows must exponentiate to the simplex")
+
+    def draw(self):
+        return self.alpha
 
 
 def marginal_log_likelihood(n_row, alpha):
@@ -274,28 +276,13 @@ def run_chain(counts, prior, config, rng=None):
         raise ValueError("run_chain needs at least one unit of counts")
     if rng is None:
         rng = make_rng(config.seed)
-    t0 = time.perf_counter()
     state = initial_state(counts, prior, config.pig_config, rng)
-    kept = np.empty((config.retained, counts.n_categories))
-    iters = np.empty(config.retained, dtype=np.int64)
-    s = 0
-    for it in range(1, config.iterations + 1):
-        gibbs_sweep(state, counts, prior, config.pig_config, rng)
-        if it % 100 == 0:
-            state.validate()
-        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            kept[s] = state.alpha
-            iters[s] = it
-            s += 1
-    meta = {
-        "model": "dirichlet-concentration",
-        "config": config.echo(),
-        "seed": config.seed,
-        "categories": list(counts.category_labels),
-        "wall_time_s": time.perf_counter() - t0,
-    }
     names = [f"alpha_{j+1}" for j in range(counts.n_categories)]
-    return PosteriorSamples(kept[:s], names, iters[:s], meta)
+    meta = {"model": "dirichlet-concentration",
+            "categories": list(counts.category_labels)}
+    return sample_chain(
+        lambda st: gibbs_sweep(st, counts, prior, config.pig_config, rng),
+        state, config, names, meta)
 
 
 def run_chain_homogeneous(counts, prior, config, rng=None):
@@ -303,7 +290,8 @@ def run_chain_homogeneous(counts, prior, config, rng=None):
 
     Same augmentation with a scalar alpha: eta_m ~ Gamma(K alpha, 1),
     w_mk ~ P-IG(d, sqrt(2) alpha), slice exponent M*K, and a single
-    truncated-normal update.
+    truncated-normal update. Its eta and alpha steps use K * alpha, which is
+    not bit-equal to the sum over K that `update_eta` and `update_alpha` take.
     """
     if counts.n_units == 0:
         raise ValueError("run_chain_homogeneous needs at least one unit")
@@ -311,47 +299,40 @@ def run_chain_homogeneous(counts, prior, config, rng=None):
     m, k = counts.n_units, counts.n_categories
     if rng is None:
         rng = make_rng(config.seed)
-    t0 = time.perf_counter()
+
+    def draw_w(alpha):
+        return pig_sample_with_tilts(
+            _INTEGER_LADDER, np.full((m, k), _SQRT2 * alpha), config.pig_config, rng)
+
+    def sweep(state):
+        alpha = state.alpha
+        state.eta = rng.standard_gamma(k * alpha, size=m)
+        state.w = draw_w(alpha)
+        state.log_p = update_p(state, counts, rng)
+        a = state.w.sum() + 1.0 / (2.0 * tau * tau)
+        b = k * np.log(state.eta).sum() + m * k * EULER_GAMMA + state.log_p.sum()
+        lower = alpha * rng.random() ** (1.0 / (m * k))
+        state.alpha = truncated_normal_sample(
+            b / (2.0 * a), 1.0 / (2.0 * a), max(lower, 0.0), rng)
 
     alpha = float(np.sqrt(2.0 / np.pi) * tau)
-    log_p = _smoothed_log_props(counts)
-    w = pig_sample_with_tilts(
-        _INTEGER_LADDER, np.full((m, k), _SQRT2 * alpha), config.pig_config, rng)
-    eta = rng.standard_gamma(k * alpha, size=m)
-
-    kept = np.empty((config.retained, 1))
-    iters = np.empty(config.retained, dtype=np.int64)
-    s = 0
-    for it in range(1, config.iterations + 1):
-        eta = rng.standard_gamma(k * alpha, size=m)
-        w = pig_sample_with_tilts(
-            _INTEGER_LADDER, np.full((m, k), _SQRT2 * alpha), config.pig_config, rng)
-        for i in range(m):
-            _, log_p[i] = dirichlet_log_sample(counts.counts[i] + alpha, rng)
-        a = w.sum() + 1.0 / (2.0 * tau * tau)
-        b = k * np.log(eta).sum() + m * k * EULER_GAMMA + log_p.sum()
-        lower = alpha * rng.random() ** (1.0 / (m * k))
-        alpha = truncated_normal_sample(
-            b / (2.0 * a), 1.0 / (2.0 * a), max(lower, 0.0), rng)
-        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            kept[s, 0] = alpha
-            iters[s] = it
-            s += 1
-    meta = {
-        "model": "dirichlet-concentration-homogeneous",
-        "config": config.echo(),
-        "seed": config.seed,
-        "categories": list(counts.category_labels),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return PosteriorSamples(kept[:s], ["alpha"], iters[:s], meta)
+    # the first sweep redraws w and eta; these start-up draws hold their
+    # place in the random stream
+    w = draw_w(alpha)
+    state = DirichletChainState(alpha=alpha, log_p=_smoothed_log_props(counts),
+                                w=w, eta=rng.standard_gamma(k * alpha, size=m))
+    meta = {"model": "dirichlet-concentration-homogeneous",
+            "categories": list(counts.category_labels)}
+    return sample_chain(sweep, state, config, ["alpha"], meta)
 
 
 # ---------------------------------------------------------------------------
 # Quadrature oracle and posterior predictive
 # ---------------------------------------------------------------------------
 
-def _check_grid(grid):
+def check_grid(grid):
+    """The grid as a float array; it must be positive, strictly increasing
+    and hold at least 3 points."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise ValueError("grid must be a 1-D array with at least 3 points")
@@ -360,7 +341,10 @@ def _check_grid(grid):
     return grid
 
 
-def _normalize_on_grid(grid, log_f):
+def normalize_on_grid(grid, log_f):
+    """exp(log_f) normalized by the trapezoid rule on `grid`. Refuses grids
+    with an adjacent log-density jump above `_MAX_LOG_JUMP` or an endpoint
+    within `_TAIL_LOG_GAP` of the maximum."""
     jumps = np.abs(np.diff(log_f))
     if np.any(jumps > _MAX_LOG_JUMP):
         i = int(np.argmax(jumps))
@@ -395,9 +379,9 @@ def quadrature_posterior(counts, prior, grid):
     likelihoods plus the truncated-normal log prior) on the grid. Refuses
     grids with adjacent log-density jumps above 0.5 or a heavy endpoint.
     """
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     log_f = _homogeneous_log_post(counts, prior.scalar_tau(), grid)
-    return _normalize_on_grid(grid, log_f)
+    return normalize_on_grid(grid, log_f)
 
 
 def homogeneous_posterior_grid(counts, prior, points=20001):
@@ -438,7 +422,7 @@ def quadrature_posterior_k2(counts, prior, grid):
     """
     if counts.n_categories != 2:
         raise ValueError("this oracle is for K = 2 only")
-    grid = _check_grid(grid)
+    grid = check_grid(grid)
     tau = prior.tau_vector(2)
     a1 = grid[:, None]
     a2 = grid[None, :]

@@ -19,21 +19,17 @@ makes any such gap visible).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PosteriorSamples
-from .pig import PigParams, pig_sample_with_tilts
+from .chain import sample_chain
+from .dirichlet import (_INTEGER_LADDER, _MAX_LOG_JUMP, _SQRT2, _TAIL_LOG_GAP,
+                        check_grid, normalize_on_grid)
+from .pig import pig_sample_with_tilts
 from .rng import make_rng, truncated_normal_sample
 from .special import EULER_GAMMA, digamma, log_gamma
 
-_SQRT2 = np.sqrt(2.0)
-_INTEGER_LADDER = PigParams.integer()
-
-_TAIL_LOG_GAP = np.log(1e10)
-_MAX_LOG_JUMP = 0.5
 # shape_posterior_grid halves its spacing at most this many times
 _MAX_GRID_DOUBLINGS = 6
 
@@ -89,6 +85,9 @@ class GammaShapeChainState:
         if np.any(self.w <= 0):
             raise ValueError("auxiliaries must be positive")
 
+    def draw(self):
+        return self.alpha_tilde + 1.0
+
 
 def shape_hyper(y, prior):
     """Fold the data into the prior, entirely in log domain."""
@@ -137,34 +136,23 @@ def run_shape_chain(y, prior, config, rng=None):
     hyper = shape_hyper(y, prior)
     if rng is None:
         rng = make_rng(config.seed)
-    t0 = time.perf_counter()
     y = np.asarray(y, dtype=float)
     state = GammaShapeChainState(
         alpha_tilde=float(max(y.mean() * prior.beta - 1.0, -0.5)),
         w=np.empty(hyper.b),
     )
     state.w = update_w_shape(state, hyper, config.pig_config, rng)
-    kept = np.empty((config.retained, 1))
-    iters = np.empty(config.retained, dtype=np.int64)
-    s = 0
-    for it in range(1, config.iterations + 1):
+
+    def sweep(state):
         state.w = update_w_shape(state, hyper, config.pig_config, rng)
         state.alpha_tilde = update_alpha_shape(state, hyper, rng)
-        if it % 100 == 0:
-            state.validate()
-        if it > config.burn_in and (it - config.burn_in) % config.thin == 0:
-            kept[s, 0] = state.alpha_tilde + 1.0
-            iters[s] = it
-            s += 1
+
     meta = {
         "model": "gamma-shape",
-        "config": config.echo(),
-        "seed": config.seed,
         "prior": {"a": prior.a, "b": prior.b, "c": prior.c, "beta": prior.beta},
         "n_obs": int(y.size),
-        "wall_time_s": time.perf_counter() - t0,
     }
-    return PosteriorSamples(kept[:s], ["alpha"], iters[:s], meta)
+    return sample_chain(sweep, state, config, ["alpha"], meta)
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +169,8 @@ def shape_posterior_quadrature(y, prior, grid):
     exp(alpha * log beta'_y - b' * lgamma(alpha)); refuses coarse grids
     (adjacent log jump > 0.5) and grids whose endpoint carries mass.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise ValueError("grid must be a 1-D array with at least 3 points")
-    if grid[0] <= 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing and positive")
-    hyper = shape_hyper(y, prior)
-    log_f = _log_post(hyper, grid)
-    jumps = np.abs(np.diff(log_f))
-    if np.any(jumps > _MAX_LOG_JUMP):
-        i = int(np.argmax(jumps))
-        raise ValueError(
-            f"grid too coarse: log-density jump {jumps[i]:.3f} > {_MAX_LOG_JUMP} "
-            f"between alpha={grid[i]:.6g} and alpha={grid[i+1]:.6g}")
-    log_max = log_f.max()
-    if log_f[-1] > log_max - _TAIL_LOG_GAP:
-        raise ValueError("grid endpoint carries non-negligible mass; "
-                         "extend alpha_max")
-    f = np.exp(log_f - log_max)
-    return f / np.trapezoid(f, grid)
+    grid = check_grid(grid)
+    return normalize_on_grid(grid, _log_post(shape_hyper(y, prior), grid))
 
 
 def shape_posterior_grid(y, prior, points=None):

@@ -6,18 +6,19 @@ turns each component into GIG(-3/2, 1/(sqrt(2) d_k), |c|). The Laplace
 transform E[exp(-w t^2)] is the infinite product
 
     prod_k ((d_k + u) / (d_k + v)) * exp(-(u - v)/d_k),
-    u = sqrt(t^2 + c^2/2),  v = |c|/sqrt(2),
+    u = sqrt(t^2 + c^2/2),  v = |c|/sqrt(2).
 
-which for the built-in ladder rules collapses to a ratio of gamma
-functions via the Weierstrass product of 1/Gamma. Sampling truncates the
-convolution at `trunc_terms` exact GIG draws and adds the exact mean of
-the discarded tail, so draws are unbiased in the mean and the residual
-transform error is quantified by the oracle checks.
+The ladder is affine, d_k = shift + k - 1 (shift 1 gives d_k = k), so the
+product collapses to a ratio of gamma functions via the Weierstrass
+product of 1/Gamma, and the tail mean to a digamma difference. Sampling
+truncates the convolution at `trunc_terms` exact GIG draws and adds the
+exact mean of the discarded tail, so draws are unbiased in the mean and
+the residual transform error is quantified by the oracle checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -34,70 +35,36 @@ _CHUNK_ELEMENTS = 4_000_000
 
 @dataclass(frozen=True)
 class PigParams:
-    """Ladder rule for d = (d_1, d_2, ...) plus the tilt c (used via |c|).
+    """Affine ladder d_k = shift + k - 1 plus the tilt c (used via |c|).
 
-    Rules: ``integer`` (d_k = k), ``shifted`` (d_k = shift + k - 1), or
-    ``explicit`` (a finite, listed ladder). Explicit ladders must grow at
-    least linearly (d_k >= min_growth * k) so that sum 1/d_k^2 converges.
+    shift = 1 is the integer ladder d_k = k.
     """
 
     c: float = 0.0
-    rule: str = "integer"
     shift: float = 1.0
-    ds: tuple = field(default=())
-    min_growth: float = 1e-6
 
     def __post_init__(self):
-        if self.rule not in ("integer", "shifted", "explicit"):
-            raise ValueError(f"unknown d rule: {self.rule!r}")
         if not np.isfinite(self.c):
             raise ValueError("tilt c must be finite")
-        if self.rule == "shifted" and not (np.isfinite(self.shift) and self.shift > 0):
-            raise ValueError("shifted rule requires shift > 0")
-        if self.rule == "explicit":
-            ds = np.asarray(self.ds, dtype=float)
-            if ds.size == 0:
-                raise ValueError("explicit rule requires at least one d value")
-            ks = np.arange(1, ds.size + 1)
-            if not np.all(ds >= self.min_growth * ks):
-                raise ValueError(
-                    "explicit ladder must satisfy d_k >= min_growth * k"
-                )
+        if not (np.isfinite(self.shift) and self.shift > 0):
+            raise ValueError("ladder shift must be finite and > 0")
 
     @classmethod
     def integer(cls, c=0.0):
-        return cls(c=c, rule="integer")
+        return cls(c=c)
 
     @classmethod
     def shifted(cls, shift, c=0.0):
-        return cls(c=c, rule="shifted", shift=shift)
-
-    @classmethod
-    def explicit(cls, ds, c=0.0, min_growth=1e-6):
-        return cls(c=c, rule="explicit", ds=tuple(float(d) for d in ds),
-                   min_growth=min_growth)
+        return cls(c=c, shift=shift)
 
     @property
     def tilt(self):
         return abs(self.c)
 
-    @property
-    def max_terms(self):
-        """Number of ladder terms available (None when infinite)."""
-        return len(self.ds) if self.rule == "explicit" else None
-
     def d_values(self, terms):
         if terms < 1:
             raise ValueError("terms must be >= 1")
-        if self.rule == "integer":
-            return np.arange(1, terms + 1, dtype=float)
-        if self.rule == "shifted":
-            return self.shift + np.arange(terms, dtype=float)
-        if terms > len(self.ds):
-            raise ValueError(
-                f"explicit ladder has {len(self.ds)} terms, {terms} requested"
-            )
-        return np.asarray(self.ds[:terms], dtype=float)
+        return self.shift + np.arange(terms, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -105,19 +72,14 @@ class PigSamplerConfig:
     """Truncation budget for the convolution sampler.
 
     `trunc_terms` exact components are drawn; the mean of everything past
-    them is added deterministically. `tail_horizon` only matters for
-    explicit ladders, where the tail is summed term by term.
+    them is added deterministically.
     """
 
     trunc_terms: int = 200
-    tail_horizon: int = 1_000_000
 
     def __post_init__(self):
         if self.trunc_terms < 1:
             raise ValueError("trunc_terms must be >= 1")
-        if self.tail_horizon < self.trunc_terms:
-            raise ValueError("tail_horizon must be >= trunc_terms")
-
 
 
 def pig_laplace_product(params, t, terms):
@@ -138,16 +100,13 @@ def _log_g(x, shift):
 
 
 def pig_laplace_closed(params, t):
-    """Closed-form transform for the integer / shifted ladders.
+    """Closed-form transform E[exp(-w t^2)].
 
     Equals G(u)/G(v) with u = sqrt(t^2 + c^2/2), v = |c|/sqrt(2) and
-    log G(x) = psi(a) x + lgamma(a) - lgamma(a + x) for the ladder start a
-    (a = 1 reduces to exp(-gamma x)/Gamma(x + 1)).
+    log G(x) = psi(a) x + lgamma(a) - lgamma(a + x) for the ladder start
+    a = shift (a = 1 reduces to exp(-gamma x)/Gamma(x + 1)).
     """
-    if params.rule == "explicit":
-        raise ValueError("closed form needs the integer or shifted rule; "
-                         "use pig_laplace_product")
-    a = 1.0 if params.rule == "integer" else params.shift
+    a = params.shift
     v = params.tilt / _SQRT2
     u = np.hypot(t, v)
     return float(np.exp(_log_g(u, a) - _log_g(v, a)))
@@ -195,23 +154,9 @@ def _tail_mean_ladder(shift, trunc_terms, tilts):
 
 
 def pig_tail_mean(params, config):
-    """Mean of the convolution terms past `config.trunc_terms`.
-
-    Integer and shifted ladders use the exact digamma closed form for the
-    whole infinite tail; explicit ladders sum their remaining listed terms
-    (`tail_horizon` caps the work).
-    """
-    if params.rule != "explicit":
-        shift = 1.0 if params.rule == "integer" else params.shift
-        return float(_tail_mean_ladder(shift, config.trunc_terms, params.tilt))
-    n = min(len(params.ds), config.tail_horizon)
-    if config.trunc_terms >= n:
-        return 0.0
-    d = params.d_values(n)[config.trunc_terms:]
-    delta = 1.0 / (_SQRT2 * d)
-    if params.tilt == 0.0:
-        return float(np.sum(delta * delta))
-    return float(np.sum(delta * delta / (1.0 + delta * params.tilt)))
+    """Mean of the convolution terms past `config.trunc_terms`: the exact
+    digamma closed form for the whole infinite tail."""
+    return float(_tail_mean_ladder(params.shift, config.trunc_terms, params.tilt))
 
 
 def _shared_split(deltas, tilts):
@@ -314,20 +259,9 @@ def pig_sample_with_tilts(params, tilts, config, rng):
     if not np.all(np.isfinite(tilts)):
         raise ValueError("tilts must be finite")
     kt = config.trunc_terms
-    if params.max_terms is not None:
-        kt = min(kt, params.max_terms)
     deltas = 1.0 / (_SQRT2 * params.d_values(kt))
     body = _pig_component_sums(deltas, np.ravel(tilts), rng).reshape(tilts.shape)
-    if params.rule != "explicit":
-        shift = 1.0 if params.rule == "integer" else params.shift
-        tail = _tail_mean_ladder(shift, kt, tilts)
-    else:
-        cfg = PigSamplerConfig(trunc_terms=kt, tail_horizon=config.tail_horizon)
-        tail = np.array([
-            pig_tail_mean(PigParams.explicit(params.ds, c=c), cfg)
-            for c in np.ravel(tilts)
-        ]).reshape(tilts.shape)
-    return body + tail
+    return body + _tail_mean_ladder(params.shift, kt, tilts)
 
 
 def pig_sample(params, config, rng, size=None):
@@ -340,9 +274,7 @@ def pig_sample(params, config, rng, size=None):
 def pig_mean(params, config=None):
     """Exact mean of the full convolution (tail included)."""
     cfg = config or PigSamplerConfig()
-    kt = cfg.trunc_terms if params.max_terms is None else min(
-        cfg.trunc_terms, params.max_terms)
-    d = params.d_values(kt)
+    d = params.d_values(cfg.trunc_terms)
     delta = 1.0 / (_SQRT2 * d)
     if params.tilt == 0.0:
         head = np.sum(delta * delta)

@@ -18,17 +18,6 @@ class TestParams:
     def test_rules(self):
         assert np.array_equal(PigParams.integer().d_values(4), [1, 2, 3, 4])
         assert np.array_equal(PigParams.shifted(2.5).d_values(3), [2.5, 3.5, 4.5])
-        assert np.array_equal(PigParams.explicit([1, 3, 9]).d_values(2), [1, 3])
-
-    def test_explicit_growth_check(self):
-        with pytest.raises(ValueError):
-            PigParams.explicit([1.0, 1e-9], min_growth=1e-3)
-        with pytest.raises(ValueError):
-            PigParams.explicit([])
-
-    def test_explicit_terms_capped(self):
-        with pytest.raises(ValueError):
-            PigParams.explicit([1.0, 2.0]).d_values(3)
 
     def test_shift_positive(self):
         with pytest.raises(ValueError):
@@ -37,8 +26,6 @@ class TestParams:
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             PigSamplerConfig(trunc_terms=0)
-        with pytest.raises(ValueError):
-            PigSamplerConfig(trunc_terms=10, tail_horizon=5)
 
 
 class TestLaplaceProduct:
@@ -95,10 +82,6 @@ class TestLaplaceClosed:
         log_product = np.log(pig_laplace_product(params, 0.8, 10**6))
         assert abs(log_closed - log_product) <= 1e-4
 
-    def test_explicit_rule_rejected(self):
-        with pytest.raises(ValueError):
-            pig_laplace_closed(PigParams.explicit([1.0, 2.0]), 1.0)
-
     @pytest.mark.parametrize("c", (0.0, 1.0, 3.0))
     def test_transform_bounds_and_monotonicity(self, c):
         params = PigParams.integer(c=c)
@@ -153,7 +136,7 @@ class TestTailMean:
         assert val == pytest.approx(0.0005, rel=0.02)
 
     def test_cutoff_at_horizon_keeps_integral_bound(self):
-        cfg = PigSamplerConfig(trunc_terms=5000, tail_horizon=5000)
+        cfg = PigSamplerConfig(trunc_terms=5000)
         val = pig_tail_mean(PigParams.integer(), cfg)
         assert 0.0 < val <= 1.0 / (2.0 * 5000)
 
@@ -175,14 +158,6 @@ class TestTailMean:
                 + 1.0 / (2.0 * 3_000_000.5)
         assert pig_tail_mean(PigParams.integer(c=c), cfg) == pytest.approx(
             brute, rel=1e-3)
-
-    def test_explicit_ladder_tail(self):
-        params = PigParams.explicit([1.0, 2.0, 3.0, 4.0])
-        cfg = PigSamplerConfig(trunc_terms=2, tail_horizon=10)
-        expected = 1.0 / (2 * 9.0) + 1.0 / (2 * 16.0)
-        assert pig_tail_mean(params, cfg) == pytest.approx(expected, rel=1e-12)
-        cfg_all = PigSamplerConfig(trunc_terms=4, tail_horizon=10)
-        assert pig_tail_mean(params, cfg_all) == 0.0
 
 
 class TestSampler:
@@ -227,15 +202,6 @@ class TestSampler:
                            make_rng(5), size=3 * 10**4)
         mc, se = mc_transform(draws, 1.0)
         assert abs(mc - pig_laplace_closed(params, 1.0)) <= 3 * se + 1e-3
-
-    def test_explicit_rule_sampler(self):
-        params = PigParams.explicit(list(range(1, 41)), c=1.0)
-        cfg = PigSamplerConfig(trunc_terms=100)  # capped at the 40 listed terms
-        draws = pig_sample(params, cfg, make_rng(6), size=2 * 10**4)
-        assert np.all(draws > 0)
-        mc, se = mc_transform(draws, 1.0)
-        truth = pig_laplace_product(params, 1.0, 40)
-        assert abs(mc - truth) <= 4 * se
 
     def test_batch_tilts_shapes(self):
         tilts = np.array([[0.0, 1.0], [2.0, 0.3], [5.0, 90.0]])
@@ -324,8 +290,8 @@ class TestLadderKernel:
         self.assert_same_stream(deltas, np.array([0.0, 5.0, 0.2, 11.0]))
 
     def test_explicit_ladder_not_increasing(self):
-        ds = [3.0, 1.0, 7.0, 2.0, 2.0, 0.5, 9.0, 4.0]
-        deltas = _ladder_deltas(PigParams.explicit(ds), len(ds))
+        # the kernel takes any deltas, not only an affine ladder's
+        deltas = 1.0 / (SQRT2 * np.array([3.0, 1.0, 7.0, 2.0, 2.0, 0.5, 9.0, 4.0]))
         assert np.any(np.diff(deltas) > 0)
         self.assert_same_stream(deltas, np.full(40, 3.0))
         self.assert_same_stream(deltas, np.array([3.0, 0.0, 0.4, 12.0, 3.0]))
