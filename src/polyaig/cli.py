@@ -182,14 +182,14 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pig_sample(args):
-    cfg = _resolve(args, {"n": 10_000, "c": 0.0, "rule": "integer",
-                          "shift": 1.0, "trunc": 1000, "seed": 0, "out": "."})
-    if cfg["rule"] == "integer":
-        params = PigParams.integer(c=cfg["c"])
-    elif cfg["rule"] == "shifted":
-        params = PigParams.shifted(cfg["shift"], c=cfg["c"])
-    else:
+    cfg = _resolve(args, {"n": 10_000, "c": 0.0, "rule": "", "shift": 1.0,
+                          "trunc": 1000, "seed": 0, "out": "."})
+    if cfg["rule"] not in ("", "integer", "shifted"):
         raise ConfigError("--rule must be integer or shifted")
+    if cfg["rule"] == "integer" and cfg["shift"] != 1.0:
+        raise ConfigError(f"--rule integer conflicts with --shift {cfg['shift']:g}: "
+                          "the integer ladder starts at 1")
+    params = PigParams(cfg["c"], cfg["shift"])
     if cfg["n"] < 1:
         raise ConfigError("--n must be >= 1")
     rng = make_rng(cfg["seed"])
@@ -351,9 +351,10 @@ def build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--c", type=float, default=None, help="tilt parameter")
     p.add_argument("--rule", type=str, default=None,
-                   choices=("integer", "shifted"))
+                   choices=("integer", "shifted"),
+                   help="ladder rule; --shift alone selects the shifted ladder")
     p.add_argument("--shift", type=float, default=None,
-                   help="ladder start for the shifted rule")
+                   help="ladder start d_1 (default 1, the integer ladder)")
     _add_common(p)
     p.set_defaults(func=cmd_pig_sample)
 

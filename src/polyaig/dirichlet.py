@@ -196,11 +196,9 @@ def update_w(state, pig_config, rng):
 
 
 def update_p(state, counts, rng):
-    """p_m | alpha, n_m ~ Dirichlet(n_m + alpha), stored in log scale."""
-    log_p = np.empty_like(state.log_p)
-    for m in range(counts.n_units):
-        _, log_p[m] = dirichlet_log_sample(counts.counts[m] + state.alpha, rng)
-    return log_p
+    """p_m | alpha, n_m ~ Dirichlet(n_m + alpha) for every unit in one
+    matrix draw, stored in log scale."""
+    return dirichlet_log_sample(counts.counts + state.alpha, rng)[1]
 
 
 def alpha_coefficients(w, log_p, eta, prior):
@@ -224,16 +222,14 @@ def update_alpha(state, prior, rng):
     """alpha_k | w, eta, p via one slice variable and a truncated normal.
 
     The leading alpha^M factor is handled by a slice bound
-    alpha > alpha_old * V^(1/M); the remainder is the TN(b/2a, 1/2a) kernel.
+    alpha > alpha_old * V^(1/M); the remainder is the TN(b/2a, 1/2a) kernel,
+    drawn for every category in one call.
     """
     m, k = state.w.shape
     a, b = alpha_coefficients(state.w, state.log_p, state.eta, prior)
     lower = state.alpha * rng.random(k) ** (1.0 / m)
-    alpha = np.empty(k)
-    for j in range(k):
-        alpha[j] = truncated_normal_sample(
-            b[j] / (2.0 * a[j]), 1.0 / (2.0 * a[j]), max(lower[j], 0.0), rng)
-    return alpha
+    return truncated_normal_sample(b / (2.0 * a), 1.0 / (2.0 * a),
+                                   np.maximum(lower, 0.0), rng)
 
 
 def gibbs_sweep(state, counts, prior, pig_config, rng):
@@ -441,16 +437,11 @@ def quadrature_posterior_k2(counts, prior, grid):
 
 
 def posterior_predictive(samples, draws_per_sample, rng):
-    """Simplex draws p* ~ Dirichlet(alpha^(s)), `draws_per_sample` per row."""
+    """Simplex draws p* ~ Dirichlet(alpha^(s)), `draws_per_sample` per row,
+    grouped by sample in one matrix draw."""
     if samples.size == 0:
         raise ValueError("no posterior samples to predict from")
     if draws_per_sample < 1:
         raise ValueError("draws_per_sample must be >= 1")
-    k = samples.draws.shape[1]
-    out = np.empty((samples.size * draws_per_sample, k))
-    row = 0
-    for s in range(samples.size):
-        for _ in range(draws_per_sample):
-            out[row], _ = dirichlet_log_sample(samples.draws[s], rng)
-            row += 1
-    return out
+    conc = np.repeat(samples.draws, draws_per_sample, axis=0)
+    return dirichlet_log_sample(conc, rng)[0]

@@ -107,38 +107,54 @@ def gamma_sample(shape, rate, rng, size=None):
 
 
 def dirichlet_log_sample(conc, rng):
-    """Dirichlet draw returned as (p, log_p), with log_p computed in log scale.
+    """Dirichlet draw(s) returned as (p, log_p), with log_p computed in log scale.
 
-    Each component uses the boost identity G_a = G_{a+1} * U^(1/a) so the
-    logarithm stays finite even when a component underflows to zero in
-    linear scale (tiny concentrations).
+    `conc` is a vector (one draw) or an (M, K) matrix (one draw per row,
+    normalized along the last axis). Each component uses the boost identity
+    G_a = G_{a+1} * U^(1/a) so the logarithm stays finite even when a
+    component underflows to zero in linear scale (tiny concentrations).
     """
     conc = np.atleast_1d(np.asarray(conc, dtype=float))
-    if conc.ndim != 1 or conc.size == 0:
-        raise ValueError("conc must be a nonempty vector")
+    if conc.ndim > 2 or conc.size == 0:
+        raise ValueError("conc must be a nonempty vector or matrix")
     if not np.all(np.isfinite(conc)) or np.any(conc <= 0.0):
         raise ValueError("all concentrations must be finite and > 0")
     x = rng.standard_gamma(conc + 1.0)
-    u = rng.random(conc.size)
+    u = rng.random(conc.shape)
     with np.errstate(divide="ignore"):
         log_g = np.log(x) + np.log(u) / conc
-    log_p = log_g - _sp.logsumexp(log_g)
+    top = log_g.max(axis=-1, keepdims=True)
+    log_p = log_g - (top + np.log(np.exp(log_g - top).sum(axis=-1, keepdims=True)))
     return np.exp(log_p), log_p
 
 
+def _tn_inverse_cdf(a, rng, n):
+    """n standardized draws from N(0,1) | Z > a by inverse CDF; `a` is a
+    scalar or has n entries."""
+    u = rng.random(n)
+    while np.any(u == 0.0):  # keep ndtri off the -inf endpoint
+        redo = u == 0.0
+        u[redo] = rng.random(int(redo.sum()))
+    return -_sp.ndtri(u * _sp.ndtr(-a))
+
+
 def _tn_tail_rejection(a, rng, n):
-    """Standardized draws from N(0,1) | Z > a for large a (Robert's method)."""
+    """n standardized draws from N(0,1) | Z > a for large a (Robert's
+    method); `a` is one cutoff for all n draws or has n entries. Every
+    pending draw takes part in each pass."""
+    shared = not isinstance(a, np.ndarray)
     lam = 0.5 * (a + np.sqrt(a * a + 4.0))
     out = np.empty(n)
     todo = np.arange(n)
     passes = 0
     while todo.size:
+        cut, rate = (a, lam) if shared else (a[todo], lam[todo])
         if passes == MAX_REJECTION_PASSES:
             raise rejection_cap_error("truncated-normal tail rejection",
-                                      todo.size, cutoff=a)
+                                      todo.size, cutoff=cut)
         passes += 1
-        z = a + rng.exponential(1.0 / lam, size=todo.size)
-        keep = np.log(rng.random(todo.size)) <= -0.5 * (z - lam) ** 2
+        z = cut + rng.exponential(1.0 / rate, size=todo.size)
+        keep = np.log(rng.random(todo.size)) <= -0.5 * (z - rate) ** 2
         out[todo[keep]] = z[keep]
         todo = todo[~keep]
     return out
@@ -147,25 +163,38 @@ def _tn_tail_rejection(a, rng, n):
 def truncated_normal_sample(mean, variance, lower, rng, size=None):
     """Exact draw from N(mean, variance) conditioned on value > lower.
 
+    Scalar parameters give one float, or `size` draws. Array parameters
+    broadcast against each other and give one draw per entry (`size` must
+    then be None): the inverse-CDF entries first, then the tail entries.
     Inverse-CDF for mild truncation; exponential-tilt rejection once the
     standardized cutoff exceeds `_TN_TAIL_CUTOFF` (bounded expected cost
     however deep the tail).
     """
-    if not np.isfinite(variance) or variance <= 0:
+    if isinstance(variance, np.ndarray):
+        valid = np.all(np.isfinite(variance) & (variance > 0))
+    else:
+        valid = np.isfinite(variance) and variance > 0
+    if not valid:
         raise ValueError("variance must be finite and > 0")
-    n = 1 if size is None else int(size)
     sd = np.sqrt(variance)
     a = (lower - mean) / sd
-    if a <= _TN_TAIL_CUTOFF:
-        u = rng.random(n)
-        while np.any(u == 0.0):  # keep ndtri off the -inf endpoint
-            redo = u == 0.0
-            u[redo] = rng.random(int(redo.sum()))
-        z = -_sp.ndtri(u * _sp.ndtr(-a))
-    else:
-        z = _tn_tail_rejection(a, rng, n)
-    out = mean + sd * z
-    return float(out[0]) if size is None else out
+    if not isinstance(a, np.ndarray):  # one cutoff (ufuncs return 0-d as scalars)
+        n = 1 if size is None else int(size)
+        if a <= _TN_TAIL_CUTOFF:
+            z = _tn_inverse_cdf(a, rng, n)
+        else:
+            z = _tn_tail_rejection(a, rng, n)
+        out = mean + sd * z
+        return float(out[0]) if size is None else out
+    if size is not None:
+        raise ValueError("size needs scalar mean, variance and lower")
+    z = np.empty(a.shape)
+    tail = a > _TN_TAIL_CUTOFF
+    mild = ~tail
+    z[mild] = _tn_inverse_cdf(a[mild], rng, int(mild.sum()))
+    if tail.any():
+        z[tail] = _tn_tail_rejection(a[tail], rng, int(tail.sum()))
+    return mean + sd * z
 
 
 def _gig_log_kernel(x, lam, omega):

@@ -49,6 +49,27 @@ class TestPigSample:
                        "--shift", "2.0", "--trunc", "64", "--seed", "2",
                        "--out", str(out)) == 0
 
+    def _draws(self, out, *extra):
+        assert run_cli("pig-sample", "--n", "50", "--c", "1", "--trunc", "20",
+                       "--seed", "1", "--out", str(out), *extra) == 0
+        return (out / "pig_samples.csv").read_bytes()
+
+    def test_shift_alone_selects_the_shifted_ladder(self, tmp_path):
+        alone = self._draws(tmp_path / "a", "--shift", "2.5")
+        ruled = self._draws(tmp_path / "b", "--rule", "shifted", "--shift", "2.5")
+        default = self._draws(tmp_path / "c")
+        assert alone == ruled
+        assert alone != default
+        assert default == self._draws(tmp_path / "d", "--rule", "integer",
+                                      "--shift", "1")
+
+    def test_integer_rule_with_other_shift_exit_2(self, tmp_path, capsys):
+        assert run_cli("pig-sample", "--n", "50", "--rule", "integer",
+                       "--shift", "2.5", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "--rule integer" in err and "--shift 2.5" in err
+        assert not (tmp_path / "pig_samples.csv").exists()
+
 
 class TestFitDirichlet:
     def _fit(self, out, *extra):

@@ -132,27 +132,40 @@ class TestUpdates:
             se = col.std(ddof=1) / np.sqrt(col.size)
             assert abs(col.mean() - truth) <= 4 * se
 
+    @staticmethod
+    def _alpha_state(alpha):
+        # update_p reads only alpha from the state
+        return DirichletChainState(alpha=np.asarray(alpha, dtype=float),
+                                   log_p=None, w=None, eta=None)
+
     def test_p_posterior_mean(self):
-        counts = CountMatrix.from_array([[2, 1]])
-        state = _toy_state(counts, AlphaPrior(tau=1.0))
-        state.alpha = np.array([1.0, 1.0])
-        rng = make_rng(8)
-        rows = np.array([np.exp(update_p(state, counts, rng)[0])
-                         for _ in range(40_000)])
+        counts = CountMatrix.from_array(np.tile([2, 1], (40_000, 1)))
+        rows = np.exp(update_p(self._alpha_state([1.0, 1.0]), counts, make_rng(8)))
         se = rows[:, 0].std(ddof=1) / np.sqrt(rows.shape[0])
         assert abs(rows[:, 0].mean() - 0.6) <= 4 * se
         assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-10
 
     def test_uniform_dirichlet_when_counts_zero(self):
-        counts = CountMatrix.from_array([[0, 1]])  # one count to satisfy rows
-        state = _toy_state(counts, AlphaPrior(tau=1.0))
-        state.alpha = np.array([1.0, 1.0])
+        counts = CountMatrix.from_array(np.tile([0, 1], (40_000, 1)))
         # Dirichlet(1, 2): E[p_1] = 1/3
-        rng = make_rng(12)
-        rows = np.array([np.exp(update_p(state, counts, rng)[0][0])
-                         for _ in range(40_000)])
+        rows = np.exp(update_p(self._alpha_state([1.0, 1.0]), counts,
+                               make_rng(12))[:, 0])
         se = rows.std(ddof=1) / np.sqrt(rows.size)
         assert abs(rows.mean() - 1 / 3) <= 4 * se
+
+    def test_each_unit_gets_its_own_dirichlet(self):
+        # distinct count rows, tiled so that one call holds 10,000 copies of
+        # each; normalizing along the wrong axis cannot match every row
+        base = np.array([[5, 1, 0], [0, 2, 7], [1, 1, 1], [12, 0, 3]])
+        alpha = np.array([0.5, 1.0, 2.0])
+        counts = CountMatrix.from_array(np.tile(base, (10_000, 1)))
+        p = np.exp(update_p(self._alpha_state(alpha), counts, make_rng(13)))
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-10
+        for m, row in enumerate(base):
+            draws = p[m::len(base)]
+            truth = (row + alpha) / (row + alpha).sum()
+            se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
+            assert np.all(np.abs(draws.mean(axis=0) - truth) <= 4 * se)
 
 
 class TestAlphaCoefficients:
@@ -405,6 +418,15 @@ class TestPosteriorPredictive:
         sims = posterior_predictive(samples, 50, make_rng(3))
         se = sims[:, 0].std(ddof=1) / np.sqrt(sims.shape[0])
         assert abs(sims[:, 0].mean() - 1 / 3) <= 4 * se
+
+    def test_rows_follow_sample_order(self):
+        alphas = np.array([[1.0, 1.0, 1.0], [6.0, 1.0, 1.0], [1.0, 2.0, 9.0]])
+        sims = posterior_predictive(self._samples(alphas), 4000, make_rng(5))
+        assert sims.shape == (12_000, 3)
+        for s, alpha in enumerate(alphas):
+            block = sims[4000 * s:4000 * (s + 1)]
+            se = block.std(axis=0, ddof=1) / np.sqrt(block.shape[0])
+            assert np.all(np.abs(block.mean(axis=0) - alpha / alpha.sum()) <= 4 * se)
 
     def test_count_contract(self):
         samples = self._samples(np.ones((7, 2)) * 1.5)

@@ -50,16 +50,13 @@ class TestGammaSample:
 
 class TestDirichletLogSample:
     def test_symmetric_means(self):
-        rng = make_rng(3)
-        draws = np.array([dirichlet_log_sample([1.0, 1.0, 1.0], rng)[0]
-                          for _ in range(10**5)])
+        draws = dirichlet_log_sample(np.ones((10**5, 3)), make_rng(3))[0]
         for j in range(3):
             assert abs(draws[:, j].mean() - 1/3) <= 4 * mcse(draws[:, j])
 
     def test_component_mean(self):
-        rng = make_rng(4)
-        draws = np.array([dirichlet_log_sample([2.0, 6.0], rng)[0][0]
-                          for _ in range(10**5)])
+        draws = dirichlet_log_sample(np.tile([2.0, 6.0], (10**5, 1)),
+                                     make_rng(4))[0][:, 0]
         assert abs(draws.mean() - 0.25) <= 4 * mcse(draws)
 
     def test_log_scale_stays_finite_for_tiny_concentration(self):
@@ -76,11 +73,27 @@ class TestDirichletLogSample:
             assert abs(p.sum() - 1.0) <= 1e-12
             assert abs(np.exp(log_p).sum() - 1.0) <= 1e-12
 
+    def test_matrix_draws_one_simplex_per_row(self):
+        conc = np.array([[0.2, 0.7, 1.0], [3.0, 1.0, 0.5], [1e-4, 1.0, 2.0],
+                         [40.0, 0.1, 7.0]])
+        p, log_p = dirichlet_log_sample(conc, make_rng(21))
+        assert p.shape == log_p.shape == conc.shape
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.exp(log_p).sum(axis=1) - 1.0)) <= 1e-12
+        assert np.all(np.isfinite(log_p))  # also the 1e-4 row
+
     def test_domain(self):
         with pytest.raises(ValueError):
             dirichlet_log_sample([1.0, 0.0], make_rng(0))
         with pytest.raises(ValueError):
             dirichlet_log_sample([], make_rng(0))
+
+    @pytest.mark.parametrize("conc", [np.ones((2, 2, 3)), np.ones((0, 3)),
+                                      np.ones((3, 0)), [[1.0, 2.0], [0.0, 1.0]],
+                                      [[1.0, np.inf], [1.0, 1.0]]])
+    def test_matrix_domain(self, conc):
+        with pytest.raises(ValueError):
+            dirichlet_log_sample(conc, make_rng(0))
 
 
 class TestTruncatedNormal:
@@ -112,11 +125,36 @@ class TestTruncatedNormal:
             v, a, np.inf, loc=mean, scale=np.sqrt(var)))
         assert res.pvalue > 1e-3
 
+    def test_array_parameters_broadcast_across_both_branches(self):
+        # cutoffs -1 and 0.5 take the inverse CDF, 5 and 6 the tail rejection
+        cut = np.array([-1.0, 0.5, 5.0, 6.0])
+        mean = np.array([[0.0], [2.0]])
+        x = truncated_normal_sample(mean, 1.0, cut + mean, make_rng(22))
+        assert x.shape == (2, 4) and np.all(x > cut + mean)
+        many = truncated_normal_sample(0.0, np.full((25_000, 1), 1.0), cut,
+                                       make_rng(23))
+        assert many.shape == (25_000, 4) and np.all(many > cut)
+        truth = stats.norm.pdf(cut) / stats.norm.sf(cut)
+        for j in range(4):
+            assert abs(many[:, j].mean() - truth[j]) <= 4 * mcse(many[:, j])
+
+    @pytest.mark.parametrize("lower", [0.5, 6.0])
+    def test_shared_cutoff_array_equals_sized_scalar_call(self, lower):
+        rng_a, rng_b = make_rng(24), make_rng(24)
+        batch = truncated_normal_sample(1.0, 2.0, np.full(50, lower), rng_a)
+        sized = truncated_normal_sample(1.0, 2.0, lower, rng_b, size=50)
+        assert np.array_equal(batch, sized)
+        assert rng_a.random() == rng_b.random()
+
     def test_domain(self):
         with pytest.raises(ValueError):
             truncated_normal_sample(0.0, 0.0, 0.0, make_rng(0))
         with pytest.raises(ValueError):
             truncated_normal_sample(0.0, -1.0, 0.0, make_rng(0))
+        with pytest.raises(ValueError):
+            truncated_normal_sample(0.0, np.array([1.0, np.nan]), 0.0, make_rng(0))
+        with pytest.raises(ValueError):
+            truncated_normal_sample(np.zeros(2), 1.0, 0.0, make_rng(0), size=2)
 
 
 class TestGigParams:
@@ -249,6 +287,13 @@ class TestRejectionPassCap:
         with pytest.raises(ValueError, match=self.passes_message(4)) as err:
             truncated_normal_sample(0.0, 1.0, 6.0, StuckGenerator(5), size=4)
         assert "cutoff 6)" in str(err.value)
+
+    def test_truncated_normal_tail_array(self):
+        # the inverse-CDF entry is drawn; both tail entries stay pending
+        with pytest.raises(ValueError, match=self.passes_message(2)) as err:
+            truncated_normal_sample(0.0, 1.0, np.array([6.0, 0.0, 7.0]),
+                                    StuckGenerator(7))
+        assert "cutoff 6 to 7)" in str(err.value)
 
     @pytest.mark.parametrize("tilts", ([1.5] * 3, [1.5, 0.0, 4.0]))
     def test_pig_ladder_kernel(self, tilts):

@@ -56,3 +56,34 @@ def test_traced_fits_reach_every_sampler_layer(tmp_path):
     # small fits need not reach
     assert {entry[2] for entry in spans.WRAPPED} - names <= {"rng.gig_rvs"}
     assert tracer.variates > 0
+
+
+def test_one_batched_draw_per_update(tmp_path):
+    """`update_p` draws the whole p matrix and `update_alpha` every category
+    in one call each, and `predict` draws every simplex in one call."""
+    sweeps = 12
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["fit-dirichlet", "--data", str(FIXTURE), "--id-cols", "2",
+                     "--iters", str(sweeps), "--burnin", "2", "--thin", "1",
+                     "--trunc", "16", "--out", str(tmp_path / "a")]) == 0
+        assert main(["predict", "--samples", str(tmp_path / "a" / "samples.csv"),
+                     "--draws-per-sample", "3", "--out", str(tmp_path / "p")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {s[0]: s[3] for s in tracer.spans}
+
+    def children(parent, child):
+        per_parent = {sid: 0 for sid, name in names.items() if name == parent}
+        for s in tracer.spans:
+            if s[3] == child and names.get(s[1]) == parent:
+                per_parent[s[1]] += 1
+        return list(per_parent.values())
+
+    assert children("dirichlet.update_p", "rng.dirichlet_log_sample") == [1] * sweeps
+    assert children("dirichlet.update_alpha",
+                    "rng.truncated_normal_sample") == [1] * sweeps
+    assert children("dirichlet.posterior_predictive",
+                    "rng.dirichlet_log_sample") == [1]
+    assert sum(s[3] == "rng.dirichlet_log_sample" for s in tracer.spans) == sweeps + 1
