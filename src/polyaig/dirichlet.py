@@ -146,7 +146,7 @@ class DirichletChainState:
 
     alpha: np.ndarray       # (K,); a float in the shared-alpha chain
     log_p: np.ndarray       # (M, K)
-    w: np.ndarray           # (M, K)
+    w: np.ndarray           # (M, K); their (1,) total in the shared-alpha chain
     eta: np.ndarray         # (M,)
 
     def validate(self):
@@ -286,8 +286,10 @@ def run_chain_homogeneous(counts, prior, config, rng=None):
 
     Same augmentation with a scalar alpha: eta_m ~ Gamma(K alpha, 1),
     w_mk ~ P-IG(d, sqrt(2) alpha), slice exponent M*K, and a single
-    truncated-normal update. Its eta and alpha steps use K * alpha, which is
-    not bit-equal to the sum over K that `update_eta` and `update_alpha` take.
+    truncated-normal update. The alpha update reads only sum_mk w_mk, so
+    the M*K auxiliaries, which share one tilt, are drawn as that total. Its
+    eta and alpha steps use K * alpha, which is not bit-equal to the sum
+    over K that `update_eta` and `update_alpha` take.
     """
     if counts.n_units == 0:
         raise ValueError("run_chain_homogeneous needs at least one unit")
@@ -296,9 +298,9 @@ def run_chain_homogeneous(counts, prior, config, rng=None):
     if rng is None:
         rng = make_rng(config.seed)
 
-    def draw_w(alpha):
-        return pig_sample_with_tilts(
-            _INTEGER_LADDER, np.full((m, k), _SQRT2 * alpha), config.pig_config, rng)
+    def draw_w(alpha):  # the total of the M*K auxiliaries, shape (1,)
+        return pig_sample_with_tilts(_INTEGER_LADDER, np.full(1, _SQRT2 * alpha),
+                                     config.pig_config, rng, copies=m * k)
 
     def sweep(state):
         alpha = state.alpha

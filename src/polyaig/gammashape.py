@@ -10,7 +10,9 @@ with b' = b + n and log beta'_y = log a + sum log y_i + (c + n) log beta,
 all kept in log scale. Writing alpha~ = alpha - 1 and expanding each of the
 b' reciprocal gamma factors as a normal scale mixture over P-IG((1,2,...), 0)
 auxiliaries gives a two-block sampler: w_j | alpha~ are tilted P-IG draws and
-alpha~ | w is a truncated normal on (-1, inf).
+alpha~ | w is a truncated normal on (-1, inf). The alpha~ update reads only
+sum_j w_j, and all b' auxiliaries share one tilt, so the chain keeps that
+total and draws it in one call (`pig_sample_with_tilts(..., copies=b')`).
 
 The mixture identity holds for alpha >= 1; for posteriors with substantial
 mass below 1 the update is approximate in that region (the quadrature oracle
@@ -77,7 +79,7 @@ class ShapeHyper:
 @dataclass
 class GammaShapeChainState:
     alpha_tilde: float      # alpha - 1, > -1
-    w: np.ndarray           # (b',) positive auxiliaries
+    w: np.ndarray           # (1,) total of the b' positive auxiliaries
 
     def validate(self):
         if not self.alpha_tilde > -1.0:
@@ -109,16 +111,18 @@ def shape_hyper(y, prior):
 
 
 def update_w_shape(state, hyper, pig_config, rng):
-    """Redraw all b' auxiliaries: w_j ~ P-IG(d, sqrt(2) |alpha~|)."""
+    """Redraw the total of all b' auxiliaries, w_j ~ P-IG(d, sqrt(2) |alpha~|),
+    as one draw of their sum: shape (1,)."""
     tilt = _SQRT2 * abs(state.alpha_tilde)
     return pig_sample_with_tilts(
-        _INTEGER_LADDER, np.full(hyper.b, tilt), pig_config, rng)
+        _INTEGER_LADDER, np.full(1, tilt), pig_config, rng, copies=hyper.b)
 
 
 def update_alpha_shape(state, hyper, rng):
     """alpha~ | w ~ N(mu, sigma^2) restricted to alpha~ > -1.
 
-    mu = (EULER_GAMMA * b' + log beta'_y) / (2 sum w_j), sigma^2 = 1/(2 sum w_j).
+    mu = (EULER_GAMMA * b' + log beta'_y) / (2 sum w_j), sigma^2 = 1/(2 sum w_j),
+    with `state.w` holding sum_j w_j.
     """
     total_w = float(state.w.sum())
     if not total_w > 0:
@@ -139,7 +143,7 @@ def run_shape_chain(y, prior, config, rng=None):
     y = np.asarray(y, dtype=float)
     state = GammaShapeChainState(
         alpha_tilde=float(max(y.mean() * prior.beta - 1.0, -0.5)),
-        w=np.empty(hyper.b),
+        w=np.empty(1),
     )
     state.w = update_w_shape(state, hyper, config.pig_config, rng)
 

@@ -77,7 +77,7 @@ class TestUpdates:
         hyper = ShapeHyper(log_a=0.0, b=3, c=2.0, log_beta_y=0.0)
         state = GammaShapeChainState(alpha_tilde=2.0, w=np.empty(3))
         w = update_w_shape(state, hyper, FAST_PIG, make_rng(2))
-        assert w.shape == (3,)
+        assert w.shape == (1,)  # the total of the b' = 3 auxiliaries
         assert np.all(w > 0.0)
 
     def test_w_deterministic(self):

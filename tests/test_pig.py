@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from polyaig import pig
 from polyaig.pig import (PigParams, PigSamplerConfig, erg_laplace,
@@ -314,6 +315,103 @@ class TestLadderKernel:
                                  make_rng(9))
         tail = pig._tail_mean_ladder(1.0, 80, tilts)
         assert np.array_equal(got, body.reshape(tilts.shape) + tail)
+
+
+def _reverse_bessel(nu):
+    """Coefficients (ascending powers of y) of theta_nu, from the recurrence
+    theta_nu = (2 nu - 1) theta_{nu-1} + y^2 theta_{nu-2}."""
+    from fractions import Fraction
+    polys = [[Fraction(1)], [Fraction(1), Fraction(1)]]
+    for n in range(2, nu + 1):
+        nxt = [Fraction(0)] * (n + 1)
+        for j, c in enumerate(polys[n - 1]):
+            nxt[j] += (2 * n - 1) * c
+        for j, c in enumerate(polys[n - 2]):
+            nxt[j + 2] += c
+        polys.append(nxt)
+    return polys[nu]
+
+
+# (copies, tilt) cases: omega on both sides of 2, sums of single rows
+# (2, 6 copies) and every group size 1-32 (36, 201 copies)
+GROUP_CASES = [(c, t) for c in (2, 6, 36, 201) for t in (0.0, 0.5, 2.8, 27.0)]
+
+
+class TestGroupedSums:
+    """`copies` > 1 draws each entry as the sum of that many independent
+    P-IG draws at its tilt, term by term in grouped variates."""
+
+    @pytest.mark.parametrize("level", range(1, pig._MAX_LEVEL + 1))
+    def test_weight_table_is_exact(self, level):
+        from fractions import Fraction
+        from math import comb, prod
+        assert set(pig._order_cdfs()) == set(range(1, pig._MAX_LEVEL + 1))
+        g = 2**level
+        p = [Fraction(n, g**g) for n in pig._group_weights(g)]
+        mixture = [Fraction(0)] * (g + 1)
+        for nu, weight in enumerate(p):
+            theta = _reverse_bessel(nu)
+            for j, c in enumerate(theta):
+                mixture[j] += weight * c / theta[0]
+        assert mixture == [Fraction(comb(g, j), g**j) for j in range(g + 1)]
+        assert all(w >= 0 for w in p) and sum(p) == 1
+        assert p[0] == 0 and p[1] == Fraction(1, g * g)
+        assert p[g] == Fraction(prod(range(1, 2 * g, 2)), g**g)
+        cdf = pig._order_cdfs()[level]
+        assert cdf.size == g + 1 and cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.array_equal(cdf, [float(sum(p[:j + 1])) for j in range(g + 1)])
+
+    def test_group_sizes(self):
+        omega = np.array([0.0, 0.2, 0.5, 1.0, 1.5, 2.0])
+        loss = omega - np.log1p(omega)
+        for copies in (2, 3, 6, 36, 201):
+            levels = pig._group_levels(omega, copies)
+            g = 2.0**levels
+            assert np.all(g <= min(copies, 32))
+            assert np.all((g == 1) | (g * loss <= np.log(2.0)))
+            bigger = np.minimum(2 * g, 64)
+            assert np.all((bigger > min(copies, 32)) | (bigger * loss > np.log(2.0)))
+
+    @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
+    def test_transform_matches_product_power(self, copies, tilt):
+        params, cfg = PigParams.integer(c=tilt), PigSamplerConfig(trunc_terms=200)
+        sums = pig_sample_with_tilts(params, np.full(1500, tilt), cfg,
+                                     make_rng(copies), copies=copies)
+        tail = pig_tail_mean(params, cfg)
+        for s in (0.3, 1.0, 3.0):
+            t = np.sqrt(s / (copies * pig_mean(params, cfg)))
+            one = pig_laplace_product(params, t, 200) * np.exp(-t * t * tail)
+            want = one**copies
+            mc, se = mc_transform(sums, t)
+            assert abs(mc - want) <= 4 * se
+
+    @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
+    def test_moments_match_summed_single_draws(self, copies, tilt):
+        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=24)
+        n = 1500
+        grouped = pig_sample_with_tilts(params, np.full(n, tilt), cfg,
+                                        make_rng(11), copies=copies)
+        single = pig_sample_with_tilts(params, np.full((n, copies), tilt), cfg,
+                                       make_rng(12)).sum(axis=1)
+        if tilt == 0.0:  # infinite variance: compare the laws instead
+            assert stats.ks_2samp(grouped, single).pvalue > 1e-3
+            return
+        for a, b in ((grouped, single),
+                     ((grouped - grouped.mean())**2, (single - single.mean())**2)):
+            se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
+            assert abs(a.mean() - b.mean()) <= 4 * se
+
+    @pytest.mark.parametrize("copies", (7, 40))  # single rows, then groups
+    def test_shape_determinism_and_domain(self, copies):
+        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=50)
+        tilts = np.array([[0.0, 1.0], [3.0, 40.0]])
+        a = pig_sample_with_tilts(params, tilts, cfg, make_rng(4), copies=copies)
+        assert a.shape == tilts.shape and np.all(a > 0.0)
+        assert np.array_equal(a, pig_sample_with_tilts(params, tilts, cfg,
+                                                       make_rng(4), copies=copies))
+        with pytest.raises(ValueError, match="copies"):
+            pig_sample_with_tilts(params, tilts, cfg, make_rng(4), copies=0)
 
 
 @given(st.floats(min_value=0.0, max_value=6.0),

@@ -305,6 +305,16 @@ class TestRejectionPassCap:
         assert "order -1.5, chi" in str(err.value) and "tilt" in str(err.value)
         assert f"after {MAX_REJECTION_PASSES} passes" in str(err.value)
 
+    def test_pig_grouped_sums(self):
+        # 33 copies at tilt 1.5: terms 1-3 (omega 1.06, 0.53, 0.35) take
+        # 16 groups of 2, 8 of 4 and 4 of 8, each plus one single draw
+        with pytest.raises(ValueError, match=self.passes_message(31)) as err:
+            pig_sample_with_tilts(PigParams.integer(), [1.5],
+                                  PigSamplerConfig(trunc_terms=3), StuckGenerator(8),
+                                  copies=33)
+        assert "P-IG grouped tilt rejection" in str(err.value)
+        assert "(group 1 to 8, chi 0.235702 to 0.707107, tilt 1.5)" in str(err.value)
+
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.floats(min_value=0.05, max_value=20.0),

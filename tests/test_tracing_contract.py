@@ -87,3 +87,24 @@ def test_one_batched_draw_per_update(tmp_path):
     assert children("dirichlet.posterior_predictive",
                     "rng.dirichlet_log_sample") == [1]
     assert sum(s[3] == "rng.dirichlet_log_sample" for s in tracer.spans) == sweeps + 1
+
+
+def test_one_pig_call_per_shared_tilt_update(tmp_path):
+    """The gamma-shape and shared-alpha chains draw the total of their
+    auxiliaries in one `pig_sample_with_tilts` call per sweep, plus one
+    for the start state."""
+    sweeps = 15
+    reals = tmp_path / "y.csv"
+    reals.write_text("value\n" + "".join(f"{0.5 + 0.1 * i}\n" for i in range(20)))
+    fit = ("--iters", str(sweeps), "--burnin", "5", "--thin", "1", "--trunc", "16")
+    for args in (["fit-gamma-shape", "--data", str(reals), "--beta", "2"],
+                 ["fit-dirichlet", "--data", str(FIXTURE), "--id-cols", "2",
+                  "--homogeneous"]):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert main([*args, *fit, "--out", str(tmp_path / args[0])]) == 0
+        finally:
+            tracer.uninstall()
+        calls = sum(s[3] == "pig.pig_sample_with_tilts" for s in tracer.spans)
+        assert calls == sweeps + 1, args[0]
