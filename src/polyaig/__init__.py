@@ -4,30 +4,26 @@ gamma shape parameter, with Laplace-transform and quadrature oracles."""
 
 from .chain import ChainConfig, PosteriorSamples
 from .dirichlet import (AlphaPrior, CountMatrix, DirichletChainState,
-                        marginal_log_likelihood, posterior_predictive,
-                        quadrature_posterior, run_chain, run_chain_homogeneous)
+                        posterior_predictive, quadrature_posterior, run_chain,
+                        run_chain_homogeneous)
 from .gammashape import (GammaShapeChainState, GammaShapePrior, ShapeHyper,
                          run_shape_chain, shape_hyper,
                          shape_posterior_quadrature)
-from .pig import (PigParams, PigSamplerConfig, erg_laplace, gig_term_mean,
-                  pig_laplace_closed, pig_laplace_product, pig_sample,
-                  pig_tail_mean)
-from .rng import (BIT_GENERATOR, GigParams, child_rng, dirichlet_log_sample,
-                  gamma_sample, gig_sample, make_rng, truncated_normal_sample)
-from .special import EULER_GAMMA, digamma, log_bessel_k, log_gamma
+from .pig import (PigParams, PigSamplerConfig, pig_laplace_closed,
+                  pig_laplace_product, pig_sample)
+from .rng import (BIT_GENERATOR, child_rng, dirichlet_log_sample, make_rng,
+                  truncated_normal_sample)
+from .special import EULER_GAMMA, digamma, log_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlphaPrior", "BIT_GENERATOR", "ChainConfig", "CountMatrix",
     "DirichletChainState", "EULER_GAMMA", "GammaShapeChainState",
-    "GammaShapePrior", "GigParams", "PigParams", "PigSamplerConfig",
-    "PosteriorSamples", "ShapeHyper", "child_rng", "digamma",
-    "dirichlet_log_sample", "erg_laplace", "gamma_sample", "gig_sample",
-    "gig_term_mean", "log_bessel_k", "log_gamma", "make_rng",
-    "marginal_log_likelihood", "pig_laplace_closed", "pig_laplace_product",
-    "pig_sample", "pig_tail_mean", "posterior_predictive",
-    "quadrature_posterior", "run_chain", "run_chain_homogeneous",
-    "run_shape_chain", "shape_hyper", "shape_posterior_quadrature",
-    "truncated_normal_sample",
+    "GammaShapePrior", "PigParams", "PigSamplerConfig", "PosteriorSamples",
+    "ShapeHyper", "child_rng", "digamma", "dirichlet_log_sample", "log_gamma",
+    "make_rng", "pig_laplace_closed", "pig_laplace_product", "pig_sample",
+    "posterior_predictive", "quadrature_posterior", "run_chain",
+    "run_chain_homogeneous", "run_shape_chain", "shape_hyper",
+    "shape_posterior_quadrature", "truncated_normal_sample",
 ]

@@ -89,12 +89,6 @@ class CountMatrix:
     def n_categories(self):
         return self.counts.shape[1]
 
-    def permuted_categories(self, order):
-        order = list(order)
-        return CountMatrix.from_array(
-            self.counts[:, order], self.unit_labels,
-            [self.category_labels[j] for j in order])
-
 
 @dataclass(frozen=True)
 class AlphaPrior:
@@ -158,24 +152,6 @@ class DirichletChainState:
 
     def draw(self):
         return self.alpha
-
-
-def marginal_log_likelihood(n_row, alpha):
-    """Log marginal p(n | alpha) of one count row, p integrated out.
-
-    Multinomial coefficient excluded (constant in alpha).
-    """
-    n = np.asarray(n_row, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if n.shape != alpha.shape:
-        raise ValueError("count row and alpha must have matching length")
-    if np.any(n < 0):
-        raise ValueError("counts must be nonnegative")
-    total = alpha.sum()
-    return float(
-        log_gamma(total) - log_gamma(total + n.sum())
-        + np.sum(log_gamma(n + alpha) - log_gamma(alpha))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -136,28 +136,6 @@ def pig_laplace_closed(params, t):
     return float(np.exp(_log_g(u, a) - _log_g(v, a)))
 
 
-def erg_laplace(a, t):
-    """Gamma-ratio transform Gamma(a)/Gamma(a + t).
-
-    Pure formula evaluator: for digamma(a) < 0 the value can exceed 1 and
-    is then not the transform of any distribution.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return float(np.exp(log_gamma(a) - log_gamma(a + t)))
-
-
-def gig_term_mean(params, k):
-    """Mean of the k-th convolution component GIG(-3/2, 1/(sqrt2 d_k), |c|)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    d = float(params.d_values(k)[-1])
-    delta = 1.0 / (_SQRT2 * d)
-    if params.tilt == 0.0:
-        return delta * delta
-    return delta * delta / (1.0 + delta * params.tilt)
-
-
 def _tail_mean_ladder(shift, trunc_terms, tilts):
     """Exact tail mean sum_{k>K} 1/(2 d_k (d_k + v)) for affine ladders.
 
@@ -175,12 +153,6 @@ def _tail_mean_ladder(shift, trunc_terms, tilts):
         vv = v[~zero]
         out[~zero] = (_sp.psi(start + vv) - _sp.psi(start)) / (2.0 * vv)
     return out
-
-
-def pig_tail_mean(params, config):
-    """Mean of the convolution terms past `config.trunc_terms`: the exact
-    digamma closed form for the whole infinite tail."""
-    return float(_tail_mean_ladder(params.shift, config.trunc_terms, params.tilt))
 
 
 def _shared_split(deltas, tilts):
@@ -201,7 +173,7 @@ def _ladder_gig_block(deltas, tilts, rng):
     """(tilts x terms) block of exact GIG(-3/2, delta_k, tilt_i) draws.
 
     Same values from the same random stream as
-    `gig_rvs(-1.5, deltas[None, :], tilts[:, None], rng)`, drawn in its
+    `gig_rvs(deltas[None, :], tilts[:, None], rng)`, drawn in its
     order: the untilted rows, then the omega = delta_k * tilt_i <=
     `_OMEGA_SPLIT` entries by tilt rejection (row-major, pass by pass),
     then the omega > `_OMEGA_SPLIT` entries. The first and last groups go
@@ -215,7 +187,7 @@ def _ladder_gig_block(deltas, tilts, rng):
     out = np.empty((rows, kt))
     tilted = tilts > 0.0
     if not tilted.all():
-        out[~tilted] = gig_rvs(-1.5, deltas, np.zeros((rows - tilted.sum(), 1)), rng)
+        out[~tilted] = gig_rvs(deltas, np.zeros((rows - tilted.sum(), 1)), rng)
         if not tilted.any():
             return out
         tilts = tilts[tilted]
@@ -252,10 +224,10 @@ def _ladder_gig_block(deltas, tilts, rng):
         passes += 1
     if k0 is not None:
         if k0:
-            blk[:, :k0] = gig_rvs(-1.5, deltas[:k0], tilts[:, None], rng)
+            blk[:, :k0] = gig_rvs(deltas[:k0], tilts[:, None], rng)
     elif not fast.all():
         slow = ~fast
-        blk[slow] = gig_rvs(-1.5, np.broadcast_to(deltas, slow.shape)[slow],
+        blk[slow] = gig_rvs(np.broadcast_to(deltas, slow.shape)[slow],
                             np.broadcast_to(tilts[:, None], slow.shape)[slow], rng)
     if blk is not out:
         out[tilted] = blk
@@ -371,8 +343,8 @@ def _grouped_sums(deltas, tilts, copies, rng):
     if single.any():
         one = np.repeat(np.flatnonzero(single), copies)
         cell = np.concatenate([cell, one])
-        vals = np.concatenate([vals, gig_rvs(-1.5, deltas[one % kt],
-                                             tilts[one // kt], rng)])
+        vals = np.concatenate([vals, gig_rvs(deltas[one % kt], tilts[one // kt],
+                                             rng)])
     return np.bincount(cell // kt, weights=vals, minlength=rows)
 
 
@@ -423,18 +395,6 @@ def pig_sample(params, config, rng, size=None):
     n = 1 if size is None else int(size)
     draws = pig_sample_with_tilts(params, np.full(n, params.tilt), config, rng)
     return float(draws[0]) if size is None else draws
-
-
-def pig_mean(params, config=None):
-    """Exact mean of the full convolution (tail included)."""
-    cfg = config or PigSamplerConfig()
-    d = params.d_values(cfg.trunc_terms)
-    delta = 1.0 / (_SQRT2 * d)
-    if params.tilt == 0.0:
-        head = np.sum(delta * delta)
-    else:
-        head = np.sum(delta * delta / (1.0 + delta * params.tilt))
-    return float(head + pig_tail_mean(params, cfg))
 
 
 def mc_transform(draws, t):

@@ -1,8 +1,7 @@
 """Deterministic special-function kernels shared by samplers and oracles.
 
 Thin validating wrappers over scipy.special: the samplers treat these as
-black boxes, but every caller relies on the positive-axis domain checks
-and on log-scale output for the Bessel function.
+black boxes, but every caller relies on the positive-axis domain checks.
 """
 
 import numpy as np
@@ -33,14 +32,3 @@ def digamma(x):
     """psi(x) = d/dx ln Gamma(x) for x > 0."""
     arr = _validate_positive(x, "digamma")
     return _as_input_kind(_sp.psi(arr), x)
-
-
-def log_bessel_k(order, x):
-    """ln K_order(x) for x > 0, evaluated in log scale.
-
-    Uses the exponentially scaled Bessel function so that large x does not
-    underflow. Symmetric in the sign of the order (K_{-v} = K_v).
-    """
-    arr = _validate_positive(x, "log_bessel_k")
-    out = np.log(_sp.kve(order, arr)) - arr
-    return _as_input_kind(out, x)

@@ -27,6 +27,15 @@ class TestValidate:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_gig_rows_cover_both_sides_of_the_split(self, capsys):
+        assert run_cli("validate", "--draws", "4000", "--seed", "3") == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("gig-mean")]
+        omegas = [float(r[2].split("=")[1]) * float(r[3].split("=")[1])
+                  for r in rows]
+        assert min(omegas) <= 2.0 < max(omegas)
+        assert all(r[-1] == "PASS" for r in rows)
+
     def test_crude_truncation_fails(self, capsys):
         code = run_cli("validate", "--draws", "4000", "--seed", "3",
                        "--trunc", "1")
@@ -43,11 +52,14 @@ class TestPigSample:
         assert vals.size == 500
         assert np.all(vals > 0)
 
-    def test_shifted_rule(self, tmp_path):
+    def test_shifted_rule(self, tmp_path, capsys):
+        # --shift alone picks the ladder; --rule is an unknown flag
         out = tmp_path / "o"
+        assert run_cli("pig-sample", "--n", "50", "--shift", "2.0",
+                       "--trunc", "64", "--seed", "2", "--out", str(out)) == 0
         assert run_cli("pig-sample", "--n", "50", "--rule", "shifted",
-                       "--shift", "2.0", "--trunc", "64", "--seed", "2",
-                       "--out", str(out)) == 0
+                       "--shift", "2.0", "--out", str(tmp_path / "r")) == 2
+        assert "unrecognized arguments: --rule shifted" in capsys.readouterr().err
 
     def _draws(self, out, *extra):
         assert run_cli("pig-sample", "--n", "50", "--c", "1", "--trunc", "20",
@@ -55,19 +67,15 @@ class TestPigSample:
         return (out / "pig_samples.csv").read_bytes()
 
     def test_shift_alone_selects_the_shifted_ladder(self, tmp_path):
-        alone = self._draws(tmp_path / "a", "--shift", "2.5")
-        ruled = self._draws(tmp_path / "b", "--rule", "shifted", "--shift", "2.5")
+        shifted = self._draws(tmp_path / "a", "--shift", "2.5")
         default = self._draws(tmp_path / "c")
-        assert alone == ruled
-        assert alone != default
-        assert default == self._draws(tmp_path / "d", "--rule", "integer",
-                                      "--shift", "1")
+        assert shifted != default
+        assert default == self._draws(tmp_path / "d", "--shift", "1")
 
     def test_integer_rule_with_other_shift_exit_2(self, tmp_path, capsys):
         assert run_cli("pig-sample", "--n", "50", "--rule", "integer",
                        "--shift", "2.5", "--out", str(tmp_path)) == 2
-        err = capsys.readouterr().err
-        assert "--rule integer" in err and "--shift 2.5" in err
+        assert "unrecognized arguments: --rule integer" in capsys.readouterr().err
         assert not (tmp_path / "pig_samples.csv").exists()
 
 

@@ -3,16 +3,36 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import kve
 
 from polyaig import pig
-from polyaig.pig import (PigParams, PigSamplerConfig, erg_laplace,
-                         gig_term_mean, mc_transform, pig_laplace_closed,
-                         pig_laplace_product, pig_mean, pig_sample,
-                         pig_sample_with_tilts, pig_tail_mean)
-from polyaig.rng import gig_rvs, make_rng
+from polyaig.pig import (PigParams, PigSamplerConfig, mc_transform,
+                         pig_laplace_closed, pig_laplace_product, pig_sample,
+                         pig_sample_with_tilts)
+from polyaig.rng import _OMEGA_SPLIT, gig_rvs, make_rng
 from polyaig.special import EULER_GAMMA, log_gamma
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _gig_term_mean(params, k):
+    """Mean delta^2/(1 + delta |c|) of convolution term k,
+    GIG(-3/2, delta = 1/(sqrt2 d_k), |c|)."""
+    delta = 1.0 / (SQRT2 * float(params.d_values(k)[-1]))
+    return delta * delta / (1.0 + delta * params.tilt)
+
+
+def _pig_tail_mean(params, config):
+    """Mean of the convolution terms past `config.trunc_terms`."""
+    return float(pig._tail_mean_ladder(params.shift, config.trunc_terms,
+                                       params.tilt))
+
+
+def _pig_mean(params, config=PigSamplerConfig()):
+    """Exact mean of the full convolution: the term means plus the tail."""
+    delta = 1.0 / (SQRT2 * params.d_values(config.trunc_terms))
+    head = np.sum(delta * delta / (1.0 + delta * params.tilt))
+    return float(head + _pig_tail_mean(params, config))
 
 
 class TestParams:
@@ -96,55 +116,38 @@ class TestLaplaceClosed:
         assert np.allclose(neg, vals, rtol=1e-12)  # even in t
 
 
-class TestErgLaplace:
-    def test_values(self):
-        assert erg_laplace(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert erg_laplace(2.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-        # exceeds one below the digamma root: formula evaluator only
-        assert erg_laplace(1.0, 0.5) == pytest.approx(
-            2.0 / np.sqrt(np.pi), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            erg_laplace(0.0, 1.0)
-        with pytest.raises(ValueError):
-            erg_laplace(1.0, -0.5)
-
-
 class TestGigTermMean:
     def test_untilted_first_and_tenth(self):
-        assert gig_term_mean(PigParams.integer(), 1) == pytest.approx(0.5)
-        assert gig_term_mean(PigParams.integer(), 10) == pytest.approx(0.005)
+        assert _gig_term_mean(PigParams.integer(), 1) == pytest.approx(0.5)
+        assert _gig_term_mean(PigParams.integer(), 10) == pytest.approx(0.005)
 
     def test_tilted_first(self):
-        assert gig_term_mean(PigParams.integer(c=SQRT2), 1) == pytest.approx(0.25)
+        assert _gig_term_mean(PigParams.integer(c=SQRT2), 1) == pytest.approx(0.25)
 
     def test_matches_bessel_ratio(self):
-        from polyaig.special import log_bessel_k
         params = PigParams.integer(c=1.7)
         for k in (1, 2, 17):
             delta = 1.0 / (SQRT2 * k)
             z = delta * 1.7
-            ratio = (delta / 1.7) * np.exp(
-                log_bessel_k(-0.5, z) - log_bessel_k(-1.5, z))
-            assert gig_term_mean(params, k) == pytest.approx(ratio, rel=1e-12)
+            ratio = (delta / 1.7) * kve(-0.5, z) / kve(-1.5, z)
+            assert _gig_term_mean(params, k) == pytest.approx(ratio, rel=1e-12)
 
 
 class TestTailMean:
     def test_untilted_inverse_k(self):
         cfg = PigSamplerConfig(trunc_terms=1000)
-        val = pig_tail_mean(PigParams.integer(), cfg)
+        val = _pig_tail_mean(PigParams.integer(), cfg)
         assert val == pytest.approx(0.0005, rel=0.02)
 
     def test_cutoff_at_horizon_keeps_integral_bound(self):
         cfg = PigSamplerConfig(trunc_terms=5000)
-        val = pig_tail_mean(PigParams.integer(), cfg)
+        val = _pig_tail_mean(PigParams.integer(), cfg)
         assert 0.0 < val <= 1.0 / (2.0 * 5000)
 
     def test_tilt_shrinks_tail(self):
         cfg = PigSamplerConfig(trunc_terms=200)
-        tilted = pig_tail_mean(PigParams.integer(c=10.0), cfg)
-        untilted = pig_tail_mean(PigParams.integer(), cfg)
+        tilted = _pig_tail_mean(PigParams.integer(c=10.0), cfg)
+        untilted = _pig_tail_mean(PigParams.integer(), cfg)
         assert tilted < untilted
 
     @pytest.mark.parametrize("c", (0.0, 2.0))
@@ -157,7 +160,7 @@ class TestTailMean:
         else:
             brute = np.sum(delta**2 / (1.0 + delta * c)) \
                 + 1.0 / (2.0 * 3_000_000.5)
-        assert pig_tail_mean(PigParams.integer(c=c), cfg) == pytest.approx(
+        assert _pig_tail_mean(PigParams.integer(c=c), cfg) == pytest.approx(
             brute, rel=1e-3)
 
 
@@ -184,7 +187,7 @@ class TestSampler:
         draws = pig_sample(params, PigSamplerConfig(trunc_terms=1000),
                            make_rng(3), size=2 * 10**5)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - pig_mean(params)) <= 4 * se
+        assert abs(draws.mean() - _pig_mean(params)) <= 4 * se
 
     def test_tilt_monotonicity_of_transform(self):
         cfg = PigSamplerConfig(trunc_terms=500)
@@ -217,7 +220,7 @@ class TestSampler:
         crude = pig_sample(params, PigSamplerConfig(trunc_terms=5),
                            make_rng(8), size=2 * 10**5)
         se = crude.std(ddof=1) / np.sqrt(crude.size)
-        assert abs(crude.mean() - pig_mean(params)) <= 4 * se
+        assert abs(crude.mean() - _pig_mean(params)) <= 4 * se
 
 
 def _gig_rvs_row_sums(deltas, tilts, rng):
@@ -229,7 +232,7 @@ def _gig_rvs_row_sums(deltas, tilts, rng):
         hi = min(tilts.size, lo + rows)
         chi = np.broadcast_to(deltas, (hi - lo, kt))
         tilt = np.broadcast_to(tilts[lo:hi, None], (hi - lo, kt))
-        out[lo:hi] = gig_rvs(-1.5, chi, tilt, rng).sum(axis=1)
+        out[lo:hi] = gig_rvs(chi, tilt, rng).sum(axis=1)
     return out
 
 
@@ -317,6 +320,29 @@ class TestLadderKernel:
         assert np.array_equal(got, body.reshape(tilts.shape) + tail)
 
 
+
+@pytest.mark.parametrize("copies", (1, 40))
+def test_samplers_reach_gig_rvs_only_untilted_or_above_the_split(monkeypatch, copies):
+    """The P-IG kernels draw every omega <= `_OMEGA_SPLIT` entry themselves,
+    so `gig_rvs`'s own tilt rejection serves only `validate` and the
+    reference stream of `_gig_rvs_row_sums`."""
+    seen = []
+
+    def recording(chi, tilt, rng):
+        chi, tilt = np.broadcast_arrays(chi, tilt)
+        seen.append((chi.ravel().copy(), tilt.ravel().copy()))
+        return gig_rvs(chi, tilt, rng)
+
+    monkeypatch.setattr(pig, "gig_rvs", recording)
+    tilts = np.array([0.0, 0.3, 2.8, 27.0])
+    pig_sample_with_tilts(PigParams.integer(), np.repeat(tilts, 3),
+                          PigSamplerConfig(trunc_terms=200), make_rng(6),
+                          copies=copies)
+    chi, tilt = (np.concatenate(v) for v in zip(*seen))
+    assert np.any(chi * tilt > _OMEGA_SPLIT)
+    assert np.all((tilt == 0.0) | (chi * tilt > _OMEGA_SPLIT))
+
+
 def _reverse_bessel(nu):
     """Coefficients (ascending powers of y) of theta_nu, from the recurrence
     theta_nu = (2 nu - 1) theta_{nu-1} + y^2 theta_{nu-2}."""
@@ -378,9 +404,9 @@ class TestGroupedSums:
         params, cfg = PigParams.integer(c=tilt), PigSamplerConfig(trunc_terms=200)
         sums = pig_sample_with_tilts(params, np.full(1500, tilt), cfg,
                                      make_rng(copies), copies=copies)
-        tail = pig_tail_mean(params, cfg)
+        tail = _pig_tail_mean(params, cfg)
         for s in (0.3, 1.0, 3.0):
-            t = np.sqrt(s / (copies * pig_mean(params, cfg)))
+            t = np.sqrt(s / (copies * _pig_mean(params, cfg)))
             one = pig_laplace_product(params, t, 200) * np.exp(-t * t * tail)
             want = one**copies
             mc, se = mc_transform(sums, t)
@@ -433,6 +459,6 @@ def test_closed_vs_truncated_product_property(c, t):
 @given(st.integers(min_value=1, max_value=200),
        st.floats(min_value=0.0, max_value=8.0))
 def test_term_mean_decreases_in_tilt_property(k, c):
-    lo = gig_term_mean(PigParams.integer(c=c), k)
-    hi = gig_term_mean(PigParams.integer(c=c + 0.5), k)
+    lo = _gig_term_mean(PigParams.integer(c=c), k)
+    hi = _gig_term_mean(PigParams.integer(c=c + 0.5), k)
     assert hi < lo or lo == pytest.approx(hi)
