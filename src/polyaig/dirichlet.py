@@ -15,9 +15,12 @@ reciprocal gamma factor uses the Weierstrass-product identity
 
 so the auxiliaries w_mk are tilted P-IG draws and, given one slice variable
 per category for the leading ``a`` factor, each alpha_k update collapses to a
-truncated normal. Every identity holds on the whole support, so the chain
-targets the exact posterior; the quadrature oracle below provides the
-independent ground truth.
+truncated normal. That update reads the auxiliaries only through their
+column totals sum_m w_mk, and the M auxiliaries of a column share one tilt,
+so the chain keeps the K totals and draws each as one sum
+(`pig_sample_with_tilts(..., copies=M)`). Every identity holds on the whole
+support, so the chain targets the exact posterior; the quadrature oracle
+below provides the independent ground truth.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class DirichletChainState:
 
     alpha: np.ndarray       # (K,); a float in the shared-alpha chain
     log_p: np.ndarray       # (M, K)
-    w: np.ndarray           # (M, K); their (1,) total in the shared-alpha chain
+    w: np.ndarray           # (1, K) column totals; (1,) total if alpha is shared
     eta: np.ndarray         # (M,)
 
     def validate(self):
@@ -165,10 +168,10 @@ def update_eta(state, rng):
 
 
 def update_w(state, pig_config, rng):
-    """w_mk | alpha ~ P-IG(d, sqrt(2) * alpha_k), d_k = k."""
-    m = state.w.shape[0]
-    tilts = np.broadcast_to(_SQRT2 * state.alpha, (m, state.alpha.size))
-    return pig_sample_with_tilts(_INTEGER_LADDER, tilts, pig_config, rng)
+    """Column totals sum_m w_mk, shape (1, K), of the auxiliaries
+    w_mk | alpha ~ P-IG(d, sqrt(2) * alpha_k), d_k = k."""
+    return pig_sample_with_tilts(_INTEGER_LADDER, _SQRT2 * state.alpha[None, :],
+                                 pig_config, rng, copies=state.log_p.shape[0])
 
 
 def update_p(state, counts, rng):
@@ -184,8 +187,9 @@ def alpha_coefficients(w, log_p, eta, prior):
     alpha^M exp(-a alpha^2 + b alpha) on alpha > 0 with
     a_k = sum_m w_mk + 1/(2 tau_k^2) and
     b_k = sum_m log eta_m + M * EULER_GAMMA + sum_m log p_mk.
+    `w` holds the (M, K) auxiliaries or their (1, K) column totals.
     """
-    m, k = w.shape
+    m, k = log_p.shape
     if m == 0:
         raise ValueError("alpha update needs at least one unit")
     tau = prior.tau_vector(k)
@@ -201,7 +205,7 @@ def update_alpha(state, prior, rng):
     alpha > alpha_old * V^(1/M); the remainder is the TN(b/2a, 1/2a) kernel,
     drawn for every category in one call.
     """
-    m, k = state.w.shape
+    m, k = state.log_p.shape
     a, b = alpha_coefficients(state.w, state.log_p, state.eta, prior)
     lower = state.alpha * rng.random(k) ** (1.0 / m)
     return truncated_normal_sample(b / (2.0 * a), 1.0 / (2.0 * a),
@@ -230,7 +234,7 @@ def initial_state(counts, prior, pig_config, rng):
     state = DirichletChainState(
         alpha=prior.mean_vector(k),
         log_p=_smoothed_log_props(counts),
-        w=np.empty((counts.n_units, k)),
+        w=np.empty((1, k)),
         eta=np.empty(counts.n_units),
     )
     state.w = update_w(state, pig_config, rng)

@@ -47,13 +47,20 @@ _SQRT2 = np.sqrt(2.0)
 # matrices out of swap without changing the draw stream for a fixed value.
 _CHUNK_ELEMENTS = 4_000_000
 
-# Grouped sums: the largest group is 2**_MAX_LEVEL same-tilt terms, and a
+# Grouped sums: a cell takes all its copies in one group up to
+# _MAX_WHOLE_GROUP copies (the weight table's build time grows about tenfold
+# from 256 to 512), else groups of at most 2**_MAX_LEVEL terms; a
 # still-rejected group gets _RETRY_PROPOSALS proposals on every later pass.
+_MAX_WHOLE_GROUP = 256
 _MAX_LEVEL = 5
 _RETRY_PROPOSALS = 4
 _LOG2 = np.log(2.0)
+_LEVELS = np.arange(_MAX_LEVEL + 1)[:, None]
+_POW2 = 2 ** _LEVELS.ravel()
+# a 2**j group passes when its loss is at most log 2 / 2**j; ascending
+_LEVEL_BOUNDS = _LOG2 / _POW2[:0:-1]
 
-# log2 g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
+# g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
 _ORDER_CDFS = {}
 
 
@@ -239,131 +246,157 @@ def _group_weights(g):
     of the untilted g-sum's mixture: the solution of
     (1 + y/g)^g = sum_nu p_nu theta_nu(y)/theta_nu(0). The reverse Bessel
     polynomials theta_nu have integer coefficients, so every p_nu has
-    denominator g**g and the triangular solve stays in integers."""
-    from math import comb, factorial
+    denominator g**g and the triangular solve stays in integers. The
+    recurrence theta_{n+1} = (2n+1) theta_n + y^2 theta_{n-1} runs forward
+    to theta_g, then back down as the solve needs each theta_nu."""
+    from math import comb
 
-    def theta(nu, j):  # coefficient of y^j in theta_nu
-        return factorial(2 * nu - j) // (
-            factorial(j) * factorial(nu - j) * 2 ** (nu - j))
+    lo, hi = [1], [1, 1]  # theta_0, theta_1, ascending powers of y
+    for n in range(1, g):
+        lo, hi = hi, [(2 * n + 1) * a + b for a, b in zip(hi + [0], [0, 0] + lo)]
+    rest = [comb(g, j) * g ** (g - j) for j in range(g + 1)]
+    out = [0] * (g + 1)
+    for nu in range(g, -1, -1):  # hi = theta_nu (leading coefficient 1)
+        q = rest[nu]  # g**g p_nu / theta_nu(0)
+        out[nu] = q * hi[0]
+        rest[:nu] = [r - q * t for r, t in zip(rest[:nu], hi)]
+        if nu >= 2:  # theta_{nu-2} = (theta_nu - (2 nu - 1) theta_{nu-1}) / y^2
+            lo, hi = [a - (2 * nu - 1) * b for a, b in zip(hi, lo + [0])][2:], lo
+        else:
+            hi = lo
+    return out
 
-    q = [0] * (g + 1)  # g**g p_nu / theta_nu(0), top degree first
-    for j in range(g, -1, -1):
-        q[j] = comb(g, j) * g ** (g - j) - sum(
-            q[nu] * theta(nu, j) for nu in range(j + 1, g + 1))
-    return [q[nu] * theta(nu, 0) for nu in range(g + 1)]
 
-
-def _order_cdfs():
-    """P(nu <= j), j = 0..g, for g = 2, 4, ..., 2**_MAX_LEVEL keyed by
-    log2 g: summed exactly, then rounded, so each table ends at 1.0."""
-    if not _ORDER_CDFS:
+def _order_cdf(g):
+    """P(nu <= j), j = 0..g, of the g-fold mixture, built on first use:
+    summed exactly, then rounded, so the table ends at 1.0."""
+    cdf = _ORDER_CDFS.get(g)
+    if cdf is None:
         from itertools import accumulate
-        for level in range(1, _MAX_LEVEL + 1):
-            g = 2**level
-            cdf = np.array([c / g**g for c in accumulate(_group_weights(g))])
-            cdf.flags.writeable = False
-            _ORDER_CDFS[level] = cdf
-    return _ORDER_CDFS
+        cdf = np.array([c / g**g for c in accumulate(_group_weights(g))])
+        cdf.flags.writeable = False
+        _ORDER_CDFS[g] = cdf
+    return cdf
 
 
-def _group_levels(omega, copies):
-    """log2 of the group size of each entry: the largest power of two
-    g <= min(copies, 2**_MAX_LEVEL) with g (omega - log1p omega) <= log 2,
-    so a group's tilt rejection accepts at least half its proposals."""
-    top = min(copies.bit_length() - 1, _MAX_LEVEL)
-    # loss * 2**j <= log 2 holds for j = 1..level: count the bounds
-    # log 2 / 2**j (ascending in the array) that loss does not exceed
-    bounds = _LOG2 / 2.0 ** np.arange(top, 0, -1)
-    return top - bounds.searchsorted(omega - np.log1p(omega))
+def _group_sizes(omega, copies):
+    """Terms per group in each cell, chosen so that a group's tilt rejection
+    accepts at least half its proposals, g (omega - log1p omega) <= log 2:
+    all `copies` where that holds and copies <= `_MAX_WHOLE_GROUP`, else the
+    largest power of two g <= min(copies, 2**_MAX_LEVEL) where it holds."""
+    loss = omega - np.log1p(omega)
+    size = np.full(omega.size, copies)
+    part = (copies * loss > _LOG2) | (copies > _MAX_WHOLE_GROUP)
+    if part.any():
+        top = min(copies.bit_length() - 1, _MAX_LEVEL)
+        # levels 1..top whose bound loss exceeds
+        above = _LEVEL_BOUNDS[_MAX_LEVEL - top:].searchsorted(loss[part])
+        size[part] = _POW2[top - above]
+    return size
 
 
-def _grouped_rejection(level, half_chi2, neg_half_tilt2, rng):
-    """One tilted g-sum per entry, g = 2**level, entries sorted by level.
+def _group_entries(size, copies):
+    """Cell, size and the distinct sizes > 1 of every group, sorted by size:
+    a cell of size g < copies (a power of two) takes copies // g groups of g
+    plus one group per binary digit of copies % g, then each cell of size
+    copies takes one group; a cell of size 0 takes none."""
+    part = ((size > 0) & (size < copies)).nonzero()[0]
+    whole = (size == copies).nonzero()[0]
+    level = _POW2.searchsorted(size[part])
+    per = copies >> _LEVELS
+    count = np.where(_LEVELS < level, per & 1, (_LEVELS == level) * per)  # size-major
+    every = np.concatenate((_POW2, [copies]))
+    total = np.concatenate((count.sum(axis=1), [whole.size]))
+    cell = part[None, :].repeat(_LEVELS.size, axis=0).ravel().repeat(count.ravel())
+    return (np.concatenate((cell, whole)), every.repeat(total),
+            every[(total > 0) & (every > 1)].tolist())
 
-    A proposal draws nu from the g-fold weights (nu = 1 at g = 1) and
-    x = g^2 delta^2/2 / Gamma(nu + 1/2); it is kept with probability
+
+def _group_proposals(group, sizes, scale, rng):
+    """One untilted g-sum proposal per entry, entries sorted by g = `group`:
+    nu from the g-fold weights (nu = 1 at g = 1) and x = scale / Gamma(nu +
+    1/2). `sizes` lists the distinct g > 1, ascending."""
+    u = rng.random(group.size)  # g = 1 entries leave theirs unused
+    shape = np.full(group.size, 1.5)
+    edges = group.searchsorted(sizes).tolist() + [group.size]
+    for g, lo, hi in zip(sizes, edges, edges[1:]):
+        shape[lo:hi] = _order_cdf(g).searchsorted(u[lo:hi], side="right") + 0.5
+    return scale / rng.standard_gamma(shape)
+
+
+def _grouped_rejection(group, sizes, scale, neg_half_tilt2, rng):
+    """One tilted g-sum per entry, g = `group` sorted, `sizes` its distinct
+    values > 1, scale g^2 delta^2/2.
+
+    A proposal (`_group_proposals`) is kept with probability
     exp(-tilt^2 x/2). The first pass makes one proposal per entry, each
     later pass `_RETRY_PROPOSALS` per pending entry, keeping the first
     accepted.
     """
-    cdfs = _order_cdfs()
-    scale = half_chi2 * 4.0**level
-    out = np.empty(level.size)
-    todo = np.arange(level.size)
-    tries, passes = 1, 0
+    out = _group_proposals(group, sizes, scale, rng)
+    todo = (rng.random(group.size) > np.exp(neg_half_tilt2 * out)).nonzero()[0]
+    passes = 1
     while todo.size:
         if passes == MAX_REJECTION_PASSES:
             raise rejection_cap_error(
-                "P-IG grouped tilt rejection", todo.size, group=2 ** level[todo],
-                chi=np.sqrt(2.0 * half_chi2[todo]),
+                "P-IG grouped tilt rejection", todo.size, group=group[todo],
+                chi=np.sqrt(2.0 * scale[todo]) / group[todo],
                 tilt=np.sqrt(-2.0 * neg_half_tilt2[todo]))
-        rep = todo if tries == 1 else np.repeat(todo, tries)
-        edges = level[rep].searchsorted(np.arange(_MAX_LEVEL + 2))
-        shape = np.full(rep.size, 1.5)
-        u = rng.random(rep.size - edges[1])
-        for j in range(1, _MAX_LEVEL + 1):
-            if edges[j + 1] > edges[j]:
-                shape[edges[j]:edges[j + 1]] += cdfs[j].searchsorted(
-                    u[edges[j] - edges[1]:edges[j + 1] - edges[1]], side="right") - 1
-        x = scale[rep] / rng.standard_gamma(shape)
-        keep = rng.random(rep.size) <= np.exp(neg_half_tilt2[rep] * x)
-        if tries > 1:  # the first accepted proposal of each entry
-            keep = keep.reshape(-1, tries)
-            first = keep.argmax(axis=1)
-            keep = keep[np.arange(todo.size), first]
-            x = x.reshape(-1, tries)[np.arange(todo.size), first]
-        out[todo[keep]] = x[keep]
-        todo = todo[~keep]
-        tries = _RETRY_PROPOSALS
+        rep = todo.repeat(_RETRY_PROPOSALS)
+        x = _group_proposals(group[rep], sizes, scale[rep], rng)
+        keep = (rng.random(rep.size) <= np.exp(neg_half_tilt2[rep] * x)).reshape(
+            -1, _RETRY_PROPOSALS)
+        first = keep.argmax(axis=1)  # the first accepted proposal of each entry
+        pick = np.arange(todo.size), first
+        hit = keep[pick]
+        out[todo[hit]] = x.reshape(-1, _RETRY_PROPOSALS)[pick][hit]
+        todo = todo[~hit]
         passes += 1
     return out
 
 
 def _grouped_sums(deltas, tilts, copies, rng):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt, with term k drawn as copies // g groups of g plus one group
-    per binary digit of copies % g (g from `_group_levels`). Entries with
-    omega = delta_k * tilt_i > `_OMEGA_SPLIT` stay single and go through
-    `gig_rvs` after the grouped rejection.
-    """
+    per tilt, with term k drawn in the groups of `_group_sizes`. Entries
+    with omega = delta_k * tilt_i > `_OMEGA_SPLIT` stay single, drawn by
+    `gig_rvs` last. If the largest omega takes one whole group under that
+    rule, every cell does: the entries are the cells in order, no table."""
     rows, kt = tilts.size, deltas.size
-    omega = np.ravel(tilts[:, None] * deltas)
+    half_chi2, neg_half_tilt2 = deltas**2 / 2.0, -0.5 * tilts**2
+    top = tilts.max() * deltas.max()
+    if copies <= _MAX_WHOLE_GROUP and copies * (top - np.log1p(top)) <= _LOG2:
+        scale = (half_chi2 * (copies * copies))[None, :].repeat(rows, axis=0)
+        vals = _grouped_rejection(np.full(rows * kt, copies), [copies], scale.ravel(),
+                                  neg_half_tilt2.repeat(kt), rng)
+        return np.bincount(np.arange(rows).repeat(kt), vals, minlength=rows)
+    omega = (tilts[:, None] * deltas).ravel()
+    size = _group_sizes(omega, copies)
     single = omega > _OMEGA_SPLIT
-    level = _group_levels(omega, copies)[:, None]
-    j = np.arange(_MAX_LEVEL + 1)
-    # groups of 2**j terms per cell: the binary digits of copies below the
-    # cell's level, and copies >> level at it
-    count = np.where(j < level, (copies >> j) & 1, np.where(j == level, copies >> j, 0))
-    count[single] = 0
-    count = count.T.ravel()  # level-major, so the entries come sorted by level
-    cell = np.repeat(np.tile(np.arange(rows * kt), j.size), count)
-    vals = _grouped_rejection(np.repeat(np.repeat(j, rows * kt), count),
-                              deltas[cell % kt] ** 2 / 2.0,
-                              -0.5 * tilts[cell // kt] ** 2, rng)
+    size[single] = 0
+    cell, group, sizes = _group_entries(size, copies)
+    row, term = np.divmod(cell, kt)
+    vals = _grouped_rejection(group, sizes, half_chi2[term] * (group * group),
+                              neg_half_tilt2[row], rng)
     if single.any():
-        one = np.repeat(np.flatnonzero(single), copies)
-        cell = np.concatenate([cell, one])
-        vals = np.concatenate([vals, gig_rvs(deltas[one % kt], tilts[one // kt],
-                                             rng)])
-    return np.bincount(cell // kt, weights=vals, minlength=rows)
+        one_row, one_term = np.divmod(single.nonzero()[0].repeat(copies), kt)
+        row = np.concatenate((row, one_row))
+        vals = np.concatenate((vals, gig_rvs(deltas[one_term], tilts[one_row], rng)))
+    return np.bincount(row, vals, minlength=rows)
 
 
 def _pig_component_sums(deltas, tilts, rng, copies=1):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt. From 2**_MAX_LEVEL copies on they are drawn in groups; fewer
-    copies are `copies` rows of single draws from `_ladder_gig_block`,
-    which costs less there (grouped and single draws take about the same
-    time at 16 copies), and `copies` = 1 is exactly its stream."""
+    per tilt: in grouped variates for `copies` >= 2, and for `copies` = 1
+    from `_ladder_gig_block`, in `gig_rvs`'s stream."""
     n, kt = tilts.size, deltas.size
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // (kt * copies))
     out = np.empty(n)
     for lo in range(0, n, rows_per_chunk):
         hi = min(n, lo + rows_per_chunk)
-        if copies >= 2**_MAX_LEVEL:
+        if copies > 1:
             out[lo:hi] = _grouped_sums(deltas, tilts[lo:hi], copies, rng)
         else:
-            block = _ladder_gig_block(deltas, np.repeat(tilts[lo:hi], copies), rng)
-            out[lo:hi] = block.sum(axis=1).reshape(-1, copies).sum(axis=1)
+            out[lo:hi] = _ladder_gig_block(deltas, tilts[lo:hi], rng).sum(axis=1)
     return out
 
 
@@ -373,20 +406,18 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     The workhorse behind the Gibbs updates: each draw is the truncated
     convolution at `config.trunc_terms` plus its exact tail mean. With
     `copies` > 1 each entry is the sum of that many independent draws at
-    its tilt (body plus `copies` tail means), drawn in grouped variates
-    from 32 copies on; `copies` = 1 draws every term singly, in the order
-    `gig_rvs` would.
+    its tilt (body plus `copies` tail means), drawn in grouped variates;
+    `copies` = 1 draws every term singly, in the order `gig_rvs` would.
     """
     tilts = np.abs(np.asarray(tilts, dtype=float))
-    if not np.all(np.isfinite(tilts)):
+    if not np.isfinite(tilts).all():
         raise ValueError("tilts must be finite")
     copies = int(copies)
     if copies < 1:
         raise ValueError("copies must be >= 1")
     kt = config.trunc_terms
     deltas = 1.0 / (_SQRT2 * params.d_values(kt))
-    body = _pig_component_sums(deltas, np.ravel(tilts), rng,
-                               copies).reshape(tilts.shape)
+    body = _pig_component_sums(deltas, tilts.ravel(), rng, copies).reshape(tilts.shape)
     return body + copies * _tail_mean_ladder(params.shift, kt, tilts)
 
 

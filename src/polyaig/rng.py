@@ -7,13 +7,13 @@ independent child streams (`child_rng`), never a shared stream.
 The generalized inverse Gaussian sampler serves the one order that every
 P-IG component has: GIG(-3/2, chi, tilt), with density proportional to
 x^(-5/2) exp{-(chi^2/x + tilt^2 x)/2} on x > 0 and mean chi^2/(1 + omega),
-omega = chi*tilt. It is exact rejection sampling in three branches:
+omega = chi*tilt. It is exact in three branches:
 
 * tilt == 0      -> inverted gamma draw (chi^2/2) / Gamma(3/2),
 * omega <= `_OMEGA_SPLIT` -> that draw tilted by exp(-tilt^2 x/2), by
   rejection,
-* otherwise      -> (chi/tilt) / GIG(3/2, omega), the two-parameter form
-  drawn by ratio-of-uniforms with mode shift.
+* otherwise      -> 1/Y with Y ~ GIG(3/2), drawn without rejection as an
+  inverse Gaussian plus a gamma variate.
 
 All branches are exact; only their expected cost differs.
 """
@@ -28,7 +28,7 @@ BIT_GENERATOR = "PCG64"
 
 # GIG tilt rejection serves omega = chi*tilt up to this value, where it
 # accepts with probability (1 + omega) e^-omega >= 3 e^-2 ~ 0.41; above it
-# the shifted ratio-of-uniforms accepts more.
+# the rejection-free draw costs less.
 _OMEGA_SPLIT = 2.0
 
 # Standardized truncation point beyond which the truncated-normal sampler
@@ -37,9 +37,9 @@ _TN_TAIL_CUTOFF = 4.0
 
 # Pass cap of every vectorized rejection loop; reaching it raises. The GIG
 # tilt rejections accept a pending entry with probability at least 0.41 per
-# pass (omega <= 2), the shifted ratio-of-uniforms about 0.7 and the normal
-# tail above 0.97, so a correct draw outlasts the cap with probability below
-# 1e-1000.
+# pass (omega <= 2), the normal tail above 0.97 and the inverse CDF's redraw
+# of an exact 0.0 uniform all but surely, so a correct draw outlasts the cap
+# with probability below 1e-1000.
 MAX_REJECTION_PASSES = 10_000
 
 
@@ -98,9 +98,15 @@ def _tn_inverse_cdf(a, rng, n):
     """n standardized draws from N(0,1) | Z > a by inverse CDF; `a` is a
     scalar or has n entries."""
     u = rng.random(n)
-    while np.any(u == 0.0):  # keep ndtri off the -inf endpoint
-        redo = u == 0.0
+    redo = u == 0.0  # keep ndtri off the -inf endpoint
+    passes = 0
+    while redo.any():
+        if passes == MAX_REJECTION_PASSES:
+            raise rejection_cap_error("truncated-normal inverse CDF", int(redo.sum()),
+                                      cutoff=np.broadcast_to(a, n)[redo])
+        passes += 1
         u[redo] = rng.random(int(redo.sum()))
+        redo = u == 0.0
     return -_sp.ndtri(u * _sp.ndtr(-a))
 
 
@@ -163,67 +169,6 @@ def truncated_normal_sample(mean, variance, lower, rng, size=None):
     return mean + sd * z
 
 
-def _gig_log_kernel(x, omega):
-    """log of x^(1/2) exp(-omega (x + 1/x) / 2), the GIG(3/2, omega) kernel."""
-    return 0.5 * np.log(x) - 0.5 * omega * (x + 1.0 / x)
-
-
-def _rou_shift_box(omega):
-    """Mode, log-kernel at the mode, and lower u-bound and u-width of the
-    mode-shifted ratio-of-uniforms rectangle of GIG(3/2, omega),
-    elementwise in `omega`."""
-    mode = (0.5 + np.hypot(0.5, omega)) / omega
-
-    # Bounding box: u-extrema solve the cubic x^3 + A x^2 + B x + mode = 0,
-    # whose middle/largest roots bracket the mode.
-    A = -(5.0 / omega + mode)
-    B = mode / omega - 1.0
-    p = B - A * A / 3.0
-    q = 2.0 * A**3 / 27.0 - A * B / 3.0 + mode
-    phi = np.arccos(np.clip(-(q / 2.0) * np.sqrt(-27.0 / p**3), -1.0, 1.0))
-    fak = 2.0 * np.sqrt(-p / 3.0)
-    y_hi = fak * np.cos(phi / 3.0) - A / 3.0
-    y_lo = fak * np.cos(phi / 3.0 + 4.0 * np.pi / 3.0) - A / 3.0
-
-    lg_mode = _gig_log_kernel(mode, omega)
-    u_plus = (y_hi - mode) * np.exp(0.5 * (_gig_log_kernel(y_hi, omega) - lg_mode))
-    u_minus = (y_lo - mode) * np.exp(0.5 * (_gig_log_kernel(y_lo, omega) - lg_mode))
-    return mode, lg_mode, u_minus, u_plus - u_minus
-
-
-def _gig2_rou_shift(omega, rng):
-    """Two-parameter GIG(3/2, omega) draws by ratio-of-uniforms with mode shift.
-
-    `omega` is an array, one draw each. Kernel: x^(1/2) exp(-omega (x + 1/x) / 2).
-    The rectangle is set up once per distinct omega (P-IG ladders repeat
-    each term's omega on every row that shares a tilt).
-    """
-    distinct, where = np.unique(omega, return_inverse=True)
-    mode, lg_mode, u_minus, u_range = (v[where] for v in _rou_shift_box(distinct))
-
-    out = np.empty(omega.shape)
-    todo = np.arange(omega.size)
-    passes = 0
-    while todo.size:
-        if passes == MAX_REJECTION_PASSES:
-            raise rejection_cap_error("GIG(|order|, omega) ratio-of-uniforms with "
-                                      "mode shift", todo.size, order=1.5,
-                                      omega=omega[todo])
-        passes += 1
-        # the values and stream of rng.uniform(u_minus, u_plus), which
-        # computes low + (high - low) * U, without its per-element broadcast
-        u = u_minus[todo] + u_range[todo] * rng.random(todo.size)
-        v = rng.random(todo.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = u / v + mode[todo]
-            ok = x > 0.0
-            lg = _gig_log_kernel(np.where(ok, x, 1.0), omega[todo])
-            keep = ok & (2.0 * np.log(v) <= lg - lg_mode[todo])
-        out[todo[keep]] = x[keep]
-        todo = todo[~keep]
-    return out
-
-
 def _tilt_rejection(chi, tilt, rng):
     """GIG(-3/2, chi, tilt) by tilting the inverted-gamma base draw.
 
@@ -245,10 +190,26 @@ def _tilt_rejection(chi, tilt, rng):
     return out
 
 
+def _inverse_size_biased(chi, tilt, rng):
+    """GIG(-3/2, chi, tilt) without rejection, for omega = chi*tilt > 2.
+
+    1/X ~ GIG(3/2), density y^(1/2) exp{-(chi^2 y + tilt^2/y)/2}: GIG(1/2)
+    size-biased. GIG(1/2) = IG(mean tilt/chi, shape tilt^2) + Gamma(1/2, rate
+    chi^2/2), and size-biasing a sum size-biases one term, picked in
+    proportion to its mean: the IG (IG + Gamma(1/2)) with probability
+    omega/(1 + omega), else the gamma (Gamma(3/2)). `wald` is well
+    conditioned here, its mean/shape ratio 1/omega < 1/2.
+    """
+    omega = chi * tilt
+    half_m = np.where(rng.random(chi.size) * (1.0 + omega) < omega, 1.0, 1.5)
+    gamma = rng.standard_gamma(half_m) * (2.0 / (chi * chi))
+    return 1.0 / (rng.wald(tilt / chi, tilt * tilt) + gamma)
+
+
 def gig_rvs(chi, tilt, rng):
     """Vectorized exact GIG(-3/2, chi, tilt) draws; `chi` > 0 and `tilt` >= 0
     broadcast. Draws the tilt == 0 entries, then the tilt rejection
-    entries, then the ratio-of-uniforms entries, each in index order.
+    entries, then the omega > `_OMEGA_SPLIT` entries, each in index order.
     """
     chi, tilt = np.broadcast_arrays(np.asarray(chi, float), np.asarray(tilt, float))
     shape = chi.shape
@@ -265,5 +226,5 @@ def gig_rvs(chi, tilt, rng):
     if fast.any():
         out[fast] = _tilt_rejection(chi[fast], tilt[fast], rng)
     if slow.any():
-        out[slow] = (chi[slow] / tilt[slow]) / _gig2_rou_shift(omega[slow], rng)
+        out[slow] = _inverse_size_biased(chi[slow], tilt[slow], rng)
     return out.reshape(shape)

@@ -158,6 +158,20 @@ class TestUpdates:
             se = col.std(ddof=1) / np.sqrt(col.size)
             assert abs(col.mean() - truth) <= 4 * se
 
+    def test_w_column_totals_sum_m_draws(self):
+        # M = 3 units: each column total is the sum of three P-IG draws
+        counts = CountMatrix.from_array([[2, 7], [1, 0], [4, 4]])
+        state = _toy_state(counts, AlphaPrior(tau=1.0))
+        state.alpha = np.array([0.4, 2.5])
+        rng = make_rng(17)
+        draws = np.stack([update_w(state, FAST_PIG, rng) for _ in range(20_000)])
+        assert draws.shape == (20_000, 1, 2)
+        for k, alpha_k in enumerate(state.alpha):
+            truth = 3 * _pig_mean(PigParams.integer(c=np.sqrt(2) * alpha_k), FAST_PIG)
+            col = draws[:, 0, k]
+            se = col.std(ddof=1) / np.sqrt(col.size)
+            assert abs(col.mean() - truth) <= 4 * se
+
     @staticmethod
     def _alpha_state(alpha):
         # update_p reads only alpha from the state
@@ -213,6 +227,15 @@ class TestAlphaCoefficients:
         eta = np.array([1.0, 2.0])
         a, _ = alpha_coefficients(w, log_p, eta, AlphaPrior(tau=1e9))
         assert np.allclose(a, w.sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_column_totals_give_the_same_coefficients(self):
+        w = np.array([[0.5, 0.25, 3.0], [1.5, 2.0, 0.125], [0.75, 0.5, 1.0]])
+        log_p = np.log(np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.25, 0.25, 0.5]]))
+        eta = np.array([1.0, 2.0, 0.5])
+        prior = AlphaPrior(tau=(0.5, 1.0, 2.0))
+        a, b = alpha_coefficients(w, log_p, eta, prior)
+        a_tot, b_tot = alpha_coefficients(w.sum(axis=0, keepdims=True), log_p, eta, prior)
+        assert np.array_equal(a, a_tot) and np.array_equal(b, b_tot)
 
     def test_symmetry_across_categories(self):
         w = np.array([[0.7, 0.7], [0.2, 0.2]])

@@ -343,66 +343,94 @@ def test_samplers_reach_gig_rvs_only_untilted_or_above_the_split(monkeypatch, co
     assert np.all((tilt == 0.0) | (chi * tilt > _OMEGA_SPLIT))
 
 
-def _reverse_bessel(nu):
-    """Coefficients (ascending powers of y) of theta_nu, from the recurrence
-    theta_nu = (2 nu - 1) theta_{nu-1} + y^2 theta_{nu-2}."""
-    from fractions import Fraction
-    polys = [[Fraction(1)], [Fraction(1), Fraction(1)]]
-    for n in range(2, nu + 1):
-        nxt = [Fraction(0)] * (n + 1)
-        for j, c in enumerate(polys[n - 1]):
-            nxt[j] += (2 * n - 1) * c
+def _reverse_bessel_polys(g):
+    """Integer coefficients (ascending powers of y) of theta_0..theta_g, from
+    the recurrence theta_nu = (2 nu - 1) theta_{nu-1} + y^2 theta_{nu-2}."""
+    polys = [[1], [1, 1]]
+    for n in range(2, g + 1):
+        nxt = [(2 * n - 1) * c for c in polys[n - 1]] + [0]
         for j, c in enumerate(polys[n - 2]):
             nxt[j + 2] += c
         polys.append(nxt)
-    return polys[nu]
+    return polys[:g + 1]
 
 
-# (copies, tilt) cases: omega on both sides of 2, sums of single rows
-# (2, 6 copies) and every group size 1-32 (36, 201 copies)
-GROUP_CASES = [(c, t) for c in (2, 6, 36, 201) for t in (0.0, 0.5, 2.8, 27.0)]
+# (copies, tilt) cases: omega on both sides of 2, whole groups at every
+# copy count, and power-of-two groups of 1-32 where a whole group of 36,
+# 61 or 201 would accept less than half its proposals
+GROUP_CASES = [(c, t) for c in (2, 3, 6, 36, 61, 201) for t in (0.0, 0.5, 2.8, 27.0)]
 
 
 class TestGroupedSums:
     """`copies` > 1 draws each entry as the sum of that many independent
     P-IG draws at its tilt, term by term in grouped variates."""
 
-    @pytest.mark.parametrize("level", range(1, pig._MAX_LEVEL + 1))
-    def test_weight_table_is_exact(self, level):
-        from fractions import Fraction
+    @pytest.mark.parametrize("g", (1, 2, 3, 4, 5, 6, 8, 16, 32, 61, 201))
+    def test_weight_table_is_exact(self, g):
+        # g**g (1 + y/g)^g = sum_nu (P_nu / theta_nu(0)) theta_nu(y), in integers
+        from itertools import accumulate
         from math import comb, prod
-        assert set(pig._order_cdfs()) == set(range(1, pig._MAX_LEVEL + 1))
-        g = 2**level
-        p = [Fraction(n, g**g) for n in pig._group_weights(g)]
-        mixture = [Fraction(0)] * (g + 1)
-        for nu, weight in enumerate(p):
-            theta = _reverse_bessel(nu)
+        weights = pig._group_weights(g)
+        thetas = _reverse_bessel_polys(g)
+        assert all(w % t[0] == 0 for w, t in zip(weights, thetas))
+        mixture = [0] * (g + 1)
+        for w, theta in zip(weights, thetas):
             for j, c in enumerate(theta):
-                mixture[j] += weight * c / theta[0]
-        assert mixture == [Fraction(comb(g, j), g**j) for j in range(g + 1)]
-        assert all(w >= 0 for w in p) and sum(p) == 1
-        assert p[0] == 0 and p[1] == Fraction(1, g * g)
-        assert p[g] == Fraction(prod(range(1, 2 * g, 2)), g**g)
-        cdf = pig._order_cdfs()[level]
+                mixture[j] += w // theta[0] * c
+        assert mixture == [comb(g, j) * g ** (g - j) for j in range(g + 1)]
+        assert all(w >= 0 for w in weights) and sum(weights) == g**g
+        assert weights[0] == 0 and weights[1] == g ** (g - 2)
+        assert weights[g] == prod(range(1, 2 * g, 2))
+        cdf = pig._order_cdf(g)
         assert cdf.size == g + 1 and cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0.0)
-        assert np.array_equal(cdf, [float(sum(p[:j + 1])) for j in range(g + 1)])
+        assert np.array_equal(cdf, [c / g**g for c in accumulate(weights)])
+
+    def test_import_builds_no_weight_table(self):
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(pig.__file__))
+        code = "import polyaig.pig as p; assert p._ORDER_CDFS == {}"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_group_sizes(self):
-        omega = np.array([0.0, 0.2, 0.5, 1.0, 1.5, 2.0])
+        omega = np.array([0.0, 0.01, 0.2, 0.5, 1.0, 1.5, 2.0])
         loss = omega - np.log1p(omega)
-        for copies in (2, 3, 6, 36, 201):
-            levels = pig._group_levels(omega, copies)
-            g = 2.0**levels
-            assert np.all(g <= min(copies, 32))
-            assert np.all((g == 1) | (g * loss <= np.log(2.0)))
-            bigger = np.minimum(2 * g, 64)
-            assert np.all((bigger > min(copies, 32)) | (bigger * loss > np.log(2.0)))
+        for copies in (2, 3, 6, 36, 61, 201, 256, 257, 1000):
+            g = pig._group_sizes(omega, copies)
+            whole = (copies <= pig._MAX_WHOLE_GROUP) & (copies * loss <= np.log(2.0))
+            assert np.all(g[whole] == copies)
+            g, part = g[~whole], loss[~whole]
+            assert np.all(g <= min(copies, 32)) and np.all((g & (g - 1)) == 0)
+            assert np.all((g == 1) | (g * part <= np.log(2.0)))
+            bigger = 2 * g
+            assert np.all((bigger > min(copies, 32)) | (bigger * part > np.log(2.0)))
+
+    def test_whole_group_cells_skip_the_entry_table(self):
+        # every cell one whole group (the per-category chain's case): the
+        # lean entries give the values and stream of the general ones
+        copies, deltas = 6, _ladder_deltas(PigParams.integer(), 60)
+        tilts = np.array([0.0, 0.3, 0.7])
+        size = pig._group_sizes(np.ravel(tilts[:, None] * deltas), copies)
+        assert np.all(size == copies)
+        rng_lean, rng_general = make_rng(14), make_rng(14)
+        lean = pig._grouped_sums(deltas, tilts, copies, rng_lean)
+        cell, group, sizes = pig._group_entries(size, copies)
+        assert np.array_equal(cell, np.arange(size.size))
+        assert sizes == [copies]
+        scale = (deltas**2 / 2.0)[cell % 60] * (group * group)
+        vals = pig._grouped_rejection(group, sizes, scale,
+                                      -0.5 * tilts[cell // 60] ** 2, rng_general)
+        general = np.bincount(cell // 60, weights=vals, minlength=tilts.size)
+        assert np.array_equal(lean, general)
+        assert rng_lean.random() == rng_general.random()
 
     @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
     def test_transform_matches_product_power(self, copies, tilt):
         params, cfg = PigParams.integer(c=tilt), PigSamplerConfig(trunc_terms=200)
-        sums = pig_sample_with_tilts(params, np.full(1500, tilt), cfg,
+        sums = pig_sample_with_tilts(params, np.full(4000, tilt), cfg,
                                      make_rng(copies), copies=copies)
         tail = _pig_tail_mean(params, cfg)
         for s in (0.3, 1.0, 3.0):
@@ -428,7 +456,7 @@ class TestGroupedSums:
             se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
             assert abs(a.mean() - b.mean()) <= 4 * se
 
-    @pytest.mark.parametrize("copies", (7, 40))  # single rows, then groups
+    @pytest.mark.parametrize("copies", (7, 40, 300))  # over 256: no whole groups
     def test_shape_determinism_and_domain(self, copies):
         params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=50)
         tilts = np.array([[0.0, 1.0], [3.0, 40.0]])

@@ -187,9 +187,11 @@ class TestGigSample:
 
     @pytest.mark.parametrize("order,chi,tilt", [
         (-1.5, 1.0, 1.0),     # tilt rejection
-        (-1.5, 1.0, 4.0),     # shifted ratio-of-uniforms
+        (-1.5, 1.0, 4.0),     # inverse Gaussian plus gamma, no rejection
         (-1.5, 0.02, 300.0),  # large tilt, small chi
         (-1.5, 2.0, 60.0),    # omega = 120
+        (-1.5, 1.0, 2.01),    # just above the split
+        (-1.5, 0.5, 38.0),    # omega = 19, the largest of a Gamma(20, 5) fit
     ])
     def test_ks_against_scipy_reference_density(self, order, chi, tilt):
         draws = gig_draws(chi, tilt, 18, 3 * 10**4)
@@ -212,14 +214,15 @@ class TestGigSample:
 
 
 class StuckGenerator:
-    """A generator whose `random` always returns 1.0, so that no rejection
-    step ever accepts; every other method is the real generator's."""
+    """A generator whose `random` always returns `value` (1.0: no rejection
+    step ever accepts); every other method is the real generator's."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, value=1.0):
         self._rng = make_rng(seed)
+        self._value = value
 
     def random(self, size=None):
-        return 1.0 if size is None else np.ones(size)
+        return self._value if size is None else np.full(size, self._value)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -239,11 +242,12 @@ class TestRejectionPassCap:
         assert "GIG tilt rejection" in str(err.value)
         assert "order -1.5, chi 0.2 to 0.5, tilt 1)" in str(err.value)
 
-    def test_ratio_of_uniforms_with_shift(self):
-        with pytest.raises(ValueError, match=self.passes_message(2)) as err:
-            gig_rvs(np.array([2.0, 3.0]), 2.0, StuckGenerator(3))
-        assert "mode shift" in str(err.value)
-        assert "order 1.5, omega 4 to 6)" in str(err.value)
+    def test_truncated_normal_inverse_cdf(self):
+        # a uniform of exactly 0.0 is redrawn, but not without bound
+        with pytest.raises(ValueError, match=self.passes_message(3)) as err:
+            truncated_normal_sample(0.0, 1.0, 0.5, StuckGenerator(4, 0.0), size=3)
+        assert "truncated-normal inverse CDF" in str(err.value)
+        assert "cutoff 0.5)" in str(err.value)
 
     def test_truncated_normal_tail(self):
         with pytest.raises(ValueError, match=self.passes_message(4)) as err:

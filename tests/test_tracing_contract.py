@@ -90,16 +90,17 @@ def test_one_batched_draw_per_update(tmp_path):
 
 
 def test_one_pig_call_per_shared_tilt_update(tmp_path):
-    """The gamma-shape and shared-alpha chains draw the total of their
-    auxiliaries in one `pig_sample_with_tilts` call per sweep, plus one
-    for the start state."""
+    """The gamma-shape, shared-alpha and per-category chains draw the totals
+    of their same-tilt auxiliaries in one `pig_sample_with_tilts` call per
+    sweep, plus one for the start state."""
     sweeps = 15
     reals = tmp_path / "y.csv"
     reals.write_text("value\n" + "".join(f"{0.5 + 0.1 * i}\n" for i in range(20)))
     fit = ("--iters", str(sweeps), "--burnin", "5", "--thin", "1", "--trunc", "16")
     for args in (["fit-gamma-shape", "--data", str(reals), "--beta", "2"],
                  ["fit-dirichlet", "--data", str(FIXTURE), "--id-cols", "2",
-                  "--homogeneous"]):
+                  "--homogeneous"],
+                 ["fit-dirichlet", "--data", str(FIXTURE), "--id-cols", "2"]):
         tracer = spans.Tracer()
         tracer.install()
         try:
@@ -107,4 +108,4 @@ def test_one_pig_call_per_shared_tilt_update(tmp_path):
         finally:
             tracer.uninstall()
         calls = sum(s[3] == "pig.pig_sample_with_tilts" for s in tracer.spans)
-        assert calls == sweeps + 1, args[0]
+        assert calls == sweeps + 1, args
