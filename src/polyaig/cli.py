@@ -301,9 +301,9 @@ def cmd_predict(args):
     _, draws, names = read_samples_csv(cfg["samples"])
     if draws.shape[1] < 2:
         raise ConfigError("predictive draws need K >= 2 concentration columns")
-    if np.any(draws <= 0):
+    if not np.all(np.isfinite(draws) & (draws > 0)):
         raise ParseError(f"{cfg['samples']}: concentration samples must be "
-                         "positive")
+                         "finite and positive")
     samples = PosteriorSamples(draws, names, np.arange(1, draws.shape[0] + 1),
                                meta={})
     rng = make_rng(cfg["seed"])
@@ -321,11 +321,14 @@ def cmd_predict(args):
 # parser plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
+def _add_common(sub, trunc=True, out=True):
+    """--seed and --config, plus --trunc and --out where the command reads them."""
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--trunc", type=int, default=None,
-                     help="series truncation for the P-IG sampler")
-    sub.add_argument("--out", type=str, default=None, help="output directory")
+    if trunc:
+        sub.add_argument("--trunc", type=int, default=None,
+                         help="series truncation for the P-IG sampler")
+    if out:
+        sub.add_argument("--out", type=str, default=None, help="output directory")
     sub.add_argument("--config", type=str, default=None,
                      help="flat key=value config file (flags take precedence)")
 
@@ -339,7 +342,7 @@ def build_parser():
 
     p = subs.add_parser("validate", help="run the built-in oracle checks")
     p.add_argument("--draws", type=int, default=None)
-    _add_common(p)
+    _add_common(p, out=False)
     p.set_defaults(func=cmd_validate)
 
     p = subs.add_parser("pig-sample", help="draw from P-IG(d, c)")
@@ -384,7 +387,7 @@ def build_parser():
     p.add_argument("--samples", type=str, default=None)
     p.add_argument("--draws-per-sample", dest="draws_per_sample", type=int,
                    default=None)
-    _add_common(p)
+    _add_common(p, trunc=False)
     p.set_defaults(func=cmd_predict)
     return parser
 

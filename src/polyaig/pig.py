@@ -29,6 +29,11 @@ polynomials and properties of Student-t distributions", Constr. Approx.
 2008). The tilt of a sum is the product of the tilts, so the tilted g-sum
 is that mixture tilted by exp(-c^2 x/2): exact rejection from the mixture,
 accepting with probability ((1 + omega) e^{-omega})^g, omega = delta_k c.
+
+Every draw goes this way: a single draw is the sum of one copy, whose
+groups of g = 1 are the InvGamma(3/2, beta_k) proposal itself (nu = 1, no
+order to draw). Terms with omega > 2 are single `gig_rvs` draws instead,
+which need no rejection loop.
 """
 
 from __future__ import annotations
@@ -162,85 +167,6 @@ def _tail_mean_ladder(shift, trunc_terms, tilts):
     return out
 
 
-def _shared_split(deltas, tilts):
-    """Number k0 of leading omega > `_OMEGA_SPLIT` terms when every row has
-    exactly those, and its rejection entries are the suffix k >= k0; else None.
-
-    omega = tilt * delta_k rounds monotonically in tilt, so every row's split
-    lies between those of the smallest and the largest tilt.
-    """
-    fast = tilts.max() * deltas <= _OMEGA_SPLIT
-    k0 = deltas.size - int(fast.sum())
-    if fast[k0:].all() and np.array_equal(tilts.min() * deltas <= _OMEGA_SPLIT, fast):
-        return k0
-    return None
-
-
-def _ladder_gig_block(deltas, tilts, rng):
-    """(tilts x terms) block of exact GIG(-3/2, delta_k, tilt_i) draws.
-
-    Same values from the same random stream as
-    `gig_rvs(deltas[None, :], tilts[:, None], rng)`, drawn in its
-    order: the untilted rows, then the omega = delta_k * tilt_i <=
-    `_OMEGA_SPLIT` entries by tilt rejection (row-major, pass by pass),
-    then the omega > `_OMEGA_SPLIT` entries. The first and last groups go
-    through `gig_rvs`; the rejection entries are drawn here, with
-    delta_k^2/2 computed once per term and -tilt^2/2 once per row. When
-    all rows share one suffix of rejection entries (decreasing deltas, and
-    one tilt or tilts whose splits coincide), the first pass runs on that
-    dense block.
-    """
-    rows, kt = tilts.size, deltas.size
-    out = np.empty((rows, kt))
-    tilted = tilts > 0.0
-    if not tilted.all():
-        out[~tilted] = gig_rvs(deltas, np.zeros((rows - tilted.sum(), 1)), rng)
-        if not tilted.any():
-            return out
-        tilts = tilts[tilted]
-    blk = out if tilts.size == rows else np.empty((tilts.size, kt))
-    flat = blk.reshape(-1)
-    half_chi2 = deltas**2 / 2.0
-    neg_half_tilt2 = -0.5 * tilts**2
-    k0 = _shared_split(deltas, tilts)
-    if k0 is not None:
-        dense = blk[:, k0:]
-        np.divide(half_chi2[k0:], rng.standard_gamma(1.5, size=dense.size)
-                  .reshape(dense.shape), out=dense)
-        keep = rng.random(dense.size).reshape(dense.shape) <= np.exp(
-            neg_half_tilt2[:, None] * dense)
-        r, c = np.nonzero(~keep)
-        pos, chi_r, tilt_r = r * kt + (c + k0), half_chi2[c + k0], neg_half_tilt2[r]
-        passes = 1
-    else:
-        fast = tilts[:, None] * deltas <= _OMEGA_SPLIT
-        pos = np.flatnonzero(fast)
-        chi_r = np.broadcast_to(half_chi2, fast.shape)[fast]
-        tilt_r = np.repeat(neg_half_tilt2, fast.sum(axis=1))
-        passes = 0
-    while pos.size:
-        if passes == MAX_REJECTION_PASSES:
-            raise rejection_cap_error(
-                "P-IG ladder tilt rejection", pos.size, order=-1.5,
-                chi=np.sqrt(2.0 * chi_r), tilt=np.sqrt(-2.0 * tilt_r))
-        x = chi_r / rng.standard_gamma(1.5, size=pos.size)
-        keep = rng.random(pos.size) <= np.exp(tilt_r * x)
-        flat[pos[keep]] = x[keep]
-        rej = ~keep
-        pos, chi_r, tilt_r = pos[rej], chi_r[rej], tilt_r[rej]
-        passes += 1
-    if k0 is not None:
-        if k0:
-            blk[:, :k0] = gig_rvs(deltas[:k0], tilts[:, None], rng)
-    elif not fast.all():
-        slow = ~fast
-        blk[slow] = gig_rvs(np.broadcast_to(deltas, slow.shape)[slow],
-                            np.broadcast_to(tilts[:, None], slow.shape)[slow], rng)
-    if blk is not out:
-        out[tilted] = blk
-    return out
-
-
 def _group_weights(g):
     """Numerators P_nu of the exact weights p_nu = P_nu / g**g, nu = 0..g,
     of the untilted g-sum's mixture: the solution of
@@ -315,13 +241,18 @@ def _group_entries(size, copies):
 def _group_proposals(group, sizes, scale, rng):
     """One untilted g-sum proposal per entry, entries sorted by g = `group`:
     nu from the g-fold weights (nu = 1 at g = 1) and x = scale / Gamma(nu +
-    1/2). `sizes` lists the distinct g > 1, ascending."""
-    u = rng.random(group.size)  # g = 1 entries leave theirs unused
-    shape = np.full(group.size, 1.5)
-    edges = group.searchsorted(sizes).tolist() + [group.size]
-    for g, lo, hi in zip(sizes, edges, edges[1:]):
-        shape[lo:hi] = _order_cdf(g).searchsorted(u[lo:hi], side="right") + 0.5
-    return scale / rng.standard_gamma(shape)
+    1/2). `sizes` lists the distinct g > 1, ascending, or is [1] when every
+    entry is a single copy, which draws no order uniform."""
+    if sizes == [1]:
+        x = rng.standard_gamma(1.5, size=group.size)
+    else:
+        u = rng.random(group.size)  # g = 1 entries leave theirs unused
+        shape = np.full(group.size, 1.5)
+        edges = group.searchsorted(sizes).tolist() + [group.size]
+        for g, lo, hi in zip(sizes, edges, edges[1:]):
+            shape[lo:hi] = _order_cdf(g).searchsorted(u[lo:hi], side="right") + 0.5
+        x = rng.standard_gamma(shape)
+    return np.divide(scale, x, out=x)
 
 
 def _grouped_rejection(group, sizes, scale, neg_half_tilt2, rng):
@@ -334,7 +265,9 @@ def _grouped_rejection(group, sizes, scale, neg_half_tilt2, rng):
     accepted.
     """
     out = _group_proposals(group, sizes, scale, rng)
-    todo = (rng.random(group.size) > np.exp(neg_half_tilt2 * out)).nonzero()[0]
+    accept = neg_half_tilt2 * out
+    np.exp(accept, out=accept)
+    todo = (rng.random(group.size) > accept).nonzero()[0]
     passes = 1
     while todo.size:
         if passes == MAX_REJECTION_PASSES:
@@ -357,57 +290,45 @@ def _grouped_rejection(group, sizes, scale, neg_half_tilt2, rng):
 
 def _grouped_sums(deltas, tilts, copies, rng):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt, with term k drawn in the groups of `_group_sizes`. Entries
-    with omega = delta_k * tilt_i > `_OMEGA_SPLIT` stay single, drawn by
-    `gig_rvs` last. If the largest omega takes one whole group under that
-    rule, every cell does: the entries are the cells in order, no table."""
+    per tilt. Entries with omega = delta_k * tilt_i > `_OMEGA_SPLIT` stay
+    single, drawn by `gig_rvs` last. Every other cell is one group, in cell
+    order and with no group table, when `copies` = 1 or when the largest
+    omega takes one whole group under the rule of `_group_sizes` (then every
+    cell does, and none is above the split); else it takes those groups."""
     rows, kt = tilts.size, deltas.size
     half_chi2, neg_half_tilt2 = deltas**2 / 2.0, -0.5 * tilts**2
+    single = tilts[:, None] * deltas > _OMEGA_SPLIT
     top = tilts.max() * deltas.max()
-    if copies <= _MAX_WHOLE_GROUP and copies * (top - np.log1p(top)) <= _LOG2:
-        scale = (half_chi2 * (copies * copies))[None, :].repeat(rows, axis=0)
-        vals = _grouped_rejection(np.full(rows * kt, copies), [copies], scale.ravel(),
-                                  neg_half_tilt2.repeat(kt), rng)
-        return np.bincount(np.arange(rows).repeat(kt), vals, minlength=rows)
-    omega = (tilts[:, None] * deltas).ravel()
-    size = _group_sizes(omega, copies)
-    single = omega > _OMEGA_SPLIT
-    size[single] = 0
-    cell, group, sizes = _group_entries(size, copies)
-    row, term = np.divmod(cell, kt)
-    vals = _grouped_rejection(group, sizes, half_chi2[term] * (group * group),
-                              neg_half_tilt2[row], rng)
+    whole = copies <= _MAX_WHOLE_GROUP and copies * (top - np.log1p(top)) <= _LOG2
+    if copies == 1 or whole:
+        keep = ~single
+        count = keep.sum(axis=1)
+        row, neg = np.arange(rows).repeat(count), neg_half_tilt2.repeat(count)
+        scale = np.broadcast_to(half_chi2 * (copies * copies), keep.shape)[keep]
+        group, sizes = np.broadcast_to(copies, row.shape), [copies]
+    else:
+        size = _group_sizes((tilts[:, None] * deltas).ravel(), copies)
+        size[single.ravel()] = 0
+        cell, group, sizes = _group_entries(size, copies)
+        row, term = np.divmod(cell, kt)
+        scale, neg = half_chi2[term] * (group * group), neg_half_tilt2[row]
+    vals = _grouped_rejection(group, sizes, scale, neg, rng)
     if single.any():
-        one_row, one_term = np.divmod(single.nonzero()[0].repeat(copies), kt)
+        one_row, one_term = (i.repeat(copies) for i in single.nonzero())
         row = np.concatenate((row, one_row))
         vals = np.concatenate((vals, gig_rvs(deltas[one_term], tilts[one_row], rng)))
     return np.bincount(row, vals, minlength=rows)
-
-
-def _pig_component_sums(deltas, tilts, rng, copies=1):
-    """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt: in grouped variates for `copies` >= 2, and for `copies` = 1
-    from `_ladder_gig_block`, in `gig_rvs`'s stream."""
-    n, kt = tilts.size, deltas.size
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (kt * copies))
-    out = np.empty(n)
-    for lo in range(0, n, rows_per_chunk):
-        hi = min(n, lo + rows_per_chunk)
-        if copies > 1:
-            out[lo:hi] = _grouped_sums(deltas, tilts[lo:hi], copies, rng)
-        else:
-            out[lo:hi] = _ladder_gig_block(deltas, tilts[lo:hi], rng).sum(axis=1)
-    return out
 
 
 def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     """Batch of P-IG draws sharing the ladder of `params`, one per tilt.
 
     The workhorse behind the Gibbs updates: each draw is the truncated
-    convolution at `config.trunc_terms` plus its exact tail mean. With
-    `copies` > 1 each entry is the sum of that many independent draws at
-    its tilt (body plus `copies` tail means), drawn in grouped variates;
-    `copies` = 1 draws every term singly, in the order `gig_rvs` would.
+    convolution at `config.trunc_terms` plus its exact tail mean. Each
+    entry is the sum of `copies` independent draws at its tilt (body plus
+    `copies` tail means), term k drawn in grouped variates; `copies` = 1 is
+    one group of one copy per term. Rows go in chunks of at most
+    `_CHUNK_ELEMENTS` (row, term, copy) elements.
     """
     tilts = np.abs(np.asarray(tilts, dtype=float))
     if not np.isfinite(tilts).all():
@@ -417,8 +338,13 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
         raise ValueError("copies must be >= 1")
     kt = config.trunc_terms
     deltas = 1.0 / (_SQRT2 * params.d_values(kt))
-    body = _pig_component_sums(deltas, tilts.ravel(), rng, copies).reshape(tilts.shape)
-    return body + copies * _tail_mean_ladder(params.shift, kt, tilts)
+    flat = tilts.ravel()
+    body = np.empty(flat.size)
+    step = max(1, _CHUNK_ELEMENTS // (kt * copies))
+    for lo in range(0, flat.size, step):
+        body[lo:lo + step] = _grouped_sums(deltas, flat[lo:lo + step], copies, rng)
+    tail = _tail_mean_ladder(params.shift, kt, tilts)
+    return body.reshape(tilts.shape) + copies * tail
 
 
 def pig_sample(params, config, rng, size=None):

@@ -248,11 +248,26 @@ class TestPredict:
         bad.write_text("iter,alpha_1,alpha_2\n1,0.5,oops\n")
         assert run_cli("predict", "--samples", str(bad)) == 3
 
+    @pytest.mark.parametrize("cell", ("0", "-0.5", "nan", "inf"))
+    def test_nonpositive_or_nonfinite_samples_exit_3(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"iter,alpha_1,alpha_2\n1,0.5,{cell}\n")
+        assert run_cli("predict", "--samples", str(bad)) == 3
+        assert f"{bad}: concentration samples must be finite and positive" in \
+            capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exit_2(self, capsys):
         assert run_cli("validate", "--no-such-flag") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", (
+        ("predict", "--samples", "s.csv", "--trunc", "7"),
+        ("validate", "--out", "x")))
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_subcommand_exit_2(self, capsys):
         assert run_cli() == 2

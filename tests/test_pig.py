@@ -241,91 +241,107 @@ def _ladder_deltas(params, terms):
 
 
 class TestLadderKernel:
-    """The dedicated GIG(-3/2) ladder kernel returns exactly what the general
-    `gig_rvs` returns from the same seed and leaves the generator in the
-    same state, so chains and output files do not depend on which runs."""
+    """Single-copy P-IG bodies, drawn as grouped sums of one copy per term,
+    have the law of the general `gig_rvs` reference: for each tilt, the
+    transforms of the two agree within 4 standard errors."""
 
     @staticmethod
-    def assert_same_stream(deltas, tilts, seed=31):
-        deltas = np.asarray(deltas, dtype=float)
-        tilts = np.asarray(tilts, dtype=float)
-        rng_kernel, rng_ref = make_rng(seed), make_rng(seed)
-        got = pig._pig_component_sums(deltas, tilts, rng_kernel)
-        want = _gig_rvs_row_sums(deltas, tilts, rng_ref)
-        assert np.array_equal(got, want)
-        assert rng_kernel.random() == rng_ref.random()
+    def assert_same_law(deltas, pattern, draw=None):
+        """`pattern` tiled until each of its tilts has 1500 rows, drawn
+        by `draw(rows, rng)` (default: `_grouped_sums` of one copy) and by
+        `_gig_rvs_row_sums`, compared at three points of the transform."""
+        deltas, pattern = np.asarray(deltas, float), np.asarray(pattern, float)
+        rows = np.tile(pattern, -(-1500 // np.unique(
+            pattern, return_counts=True)[1].min()))
+        if draw is None:
+            got = pig._grouped_sums(deltas, rows, 1, make_rng(31))
+        else:
+            got = draw(rows, make_rng(31))
+        want = _gig_rvs_row_sums(deltas, rows, make_rng(32))
+        for tilt in np.unique(pattern):
+            mean = np.sum(deltas**2 / (1.0 + tilt * deltas))
+            for s in (0.3, 1.0, 3.0):
+                t = np.sqrt(s / mean)
+                (a, se_a), (b, se_b) = (mc_transform(v[rows == tilt], t)
+                                        for v in (got, want))
+                assert abs(a - b) <= 4 * np.hypot(se_a, se_b)
 
     def test_untilted_rows_mixed_with_tilted(self):
         tilts = np.array([0.0, 3.0, 0.0, 0.0, 40.0, 0.7, 0.0])
-        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 150), tilts)
+        self.assert_same_law(_ladder_deltas(PigParams.integer(), 150), tilts)
 
     def test_all_rows_untilted(self):
-        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 50),
-                                np.zeros(9))
+        self.assert_same_law(_ladder_deltas(PigParams.integer(), 50), np.zeros(9))
 
     @pytest.mark.parametrize("tilt", (4.0, 8.0, 16.0))
     def test_omega_exactly_at_the_split(self, tilt):
         deltas = 2.0 ** -np.arange(12.0)  # omega = tilt * delta hits 2 exactly
         assert np.any(tilt * deltas == 2.0)
         assert np.any(tilt * deltas > 2.0) and np.any(tilt * deltas < 2.0)
-        self.assert_same_stream(deltas, np.full(25, tilt))
-        self.assert_same_stream(deltas, np.array([tilt, 1.0, tilt, 0.0, 2 * tilt]))
+        self.assert_same_law(deltas, np.full(25, tilt))
+        self.assert_same_law(deltas, np.array([tilt, 1.0, tilt, 0.0, 2 * tilt]))
 
     @pytest.mark.parametrize("tilt", (0.5, SQRT2 * 2.0, SQRT2 * 19.0, 300.0))
     def test_one_shared_tilt(self, tilt):
-        # the gamma-shape update: every row has the same tilt
-        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 200),
-                                np.full(201, tilt))
+        self.assert_same_law(_ladder_deltas(PigParams.integer(), 200),
+                             np.full(201, tilt))
 
     @pytest.mark.parametrize("alpha", ([0.05, 0.4, 1.3, 2.0, 7.5, 19.0],
                                        [0.05, 0.4, 1.3, 1.9],
                                        [2.5, 2.9, 2.1]))
     def test_distinct_tilt_per_row(self, alpha):
-        # the Dirichlet update: rows cycle through the per-category tilts,
-        # whose rejection entries start at different terms or all at one
+        # rows cycle through per-category tilts, whose omega <= 2 entries
+        # start at different terms or all at one
         tilts = np.tile(SQRT2 * np.array(alpha), 6)
-        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 200), tilts)
-        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 200),
-                                make_rng(5).uniform(0.0, 60.0, 40))
+        self.assert_same_law(_ladder_deltas(PigParams.integer(), 200), tilts)
+        self.assert_same_law(_ladder_deltas(PigParams.integer(), 200),
+                             make_rng(5).uniform(0.0, 60.0, 6))
 
     def test_shifted_ladder(self):
         deltas = _ladder_deltas(PigParams.shifted(0.3), 120)
-        self.assert_same_stream(deltas, np.full(30, 5.0))
-        self.assert_same_stream(deltas, np.array([0.0, 5.0, 0.2, 11.0]))
+        self.assert_same_law(deltas, np.full(30, 5.0))
+        self.assert_same_law(deltas, np.array([0.0, 5.0, 0.2, 11.0]))
 
     def test_explicit_ladder_not_increasing(self):
-        # the kernel takes any deltas, not only an affine ladder's
+        # the grouped sums take any deltas, not only an affine ladder's
         deltas = 1.0 / (SQRT2 * np.array([3.0, 1.0, 7.0, 2.0, 2.0, 0.5, 9.0, 4.0]))
         assert np.any(np.diff(deltas) > 0)
-        self.assert_same_stream(deltas, np.full(40, 3.0))
-        self.assert_same_stream(deltas, np.array([3.0, 0.0, 0.4, 12.0, 3.0]))
+        self.assert_same_law(deltas, np.full(40, 3.0))
+        self.assert_same_law(deltas, np.array([3.0, 0.0, 0.4, 12.0, 3.0]))
 
     @pytest.mark.parametrize("tilts", ([0.5], [0.5, 9.0, 0.0, 2.0], [9.0] * 7))
     def test_single_term(self, tilts):
-        self.assert_same_stream(_ladder_deltas(PigParams.integer(), 1), tilts)
+        self.assert_same_law(_ladder_deltas(PigParams.integer(), 1), tilts)
 
     def test_chunk_boundary(self, monkeypatch):
         monkeypatch.setattr(pig, "_CHUNK_ELEMENTS", 7 * 50 + 3)  # 7 rows a chunk
-        deltas = _ladder_deltas(PigParams.integer(), 50)
-        self.assert_same_stream(deltas, np.full(23, 6.0))
-        self.assert_same_stream(deltas, np.tile([0.0, 0.9, 6.0, 30.0], 6))
+        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=50)
 
-    def test_public_sampler_uses_the_same_stream(self):
+        def public(rows, rng):
+            return (pig_sample_with_tilts(params, rows, cfg, rng)
+                    - pig._tail_mean_ladder(1.0, 50, rows))
+
+        deltas = _ladder_deltas(params, 50)
+        self.assert_same_law(deltas, np.full(23, 6.0), public)
+        self.assert_same_law(deltas, np.tile([0.0, 0.9, 6.0, 30.0], 6), public)
+
+    def test_public_sampler_matches_the_reference(self):
         params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=80)
         tilts = np.array([[0.0, 1.0], [2.0, 0.3], [5.0, 90.0]])
-        got = pig_sample_with_tilts(params, tilts, cfg, make_rng(9))
-        body = _gig_rvs_row_sums(_ladder_deltas(params, 80), np.ravel(tilts),
-                                 make_rng(9))
-        tail = pig._tail_mean_ladder(1.0, 80, tilts)
-        assert np.array_equal(got, body.reshape(tilts.shape) + tail)
 
+        def public(rows, rng):
+            got = pig_sample_with_tilts(params, rows.reshape(-1, 2), cfg, rng)
+            assert got.shape == (rows.size // 2, 2)
+            return got.ravel() - pig._tail_mean_ladder(1.0, 80, rows)
+
+        self.assert_same_law(_ladder_deltas(params, 80), tilts.ravel(), public)
 
 
 @pytest.mark.parametrize("copies", (1, 40))
-def test_samplers_reach_gig_rvs_only_untilted_or_above_the_split(monkeypatch, copies):
-    """The P-IG kernels draw every omega <= `_OMEGA_SPLIT` entry themselves,
-    so `gig_rvs`'s own tilt rejection serves only `validate` and the
-    reference stream of `_gig_rvs_row_sums`."""
+def test_samplers_reach_gig_rvs_only_above_the_split(monkeypatch, copies):
+    """The P-IG sampler draws every omega <= `_OMEGA_SPLIT` entry itself,
+    untilted ones included, so `gig_rvs`'s own tilt rejection serves only
+    `validate` and the reference of `_gig_rvs_row_sums`."""
     seen = []
 
     def recording(chi, tilt, rng):
@@ -339,8 +355,7 @@ def test_samplers_reach_gig_rvs_only_untilted_or_above_the_split(monkeypatch, co
                           PigSamplerConfig(trunc_terms=200), make_rng(6),
                           copies=copies)
     chi, tilt = (np.concatenate(v) for v in zip(*seen))
-    assert np.any(chi * tilt > _OMEGA_SPLIT)
-    assert np.all((tilt == 0.0) | (chi * tilt > _OMEGA_SPLIT))
+    assert chi.size and np.all(chi * tilt > _OMEGA_SPLIT)
 
 
 def _reverse_bessel_polys(g):
@@ -355,15 +370,17 @@ def _reverse_bessel_polys(g):
     return polys[:g + 1]
 
 
-# (copies, tilt) cases: omega on both sides of 2, whole groups at every
-# copy count, and power-of-two groups of 1-32 where a whole group of 36,
-# 61 or 201 would accept less than half its proposals
-GROUP_CASES = [(c, t) for c in (2, 3, 6, 36, 61, 201) for t in (0.0, 0.5, 2.8, 27.0)]
+# (copies, tilt) cases: omega on both sides of 2, one copy per group at
+# copies 1, whole groups at every copy count, and power-of-two groups of
+# 1-32 where a whole group of 36, 61 or 201 would accept less than half its
+# proposals
+GROUP_CASES = [(c, t) for c in (1, 2, 3, 6, 36, 61, 201)
+               for t in (0.0, 0.5, 2.8, 27.0)]
 
 
 class TestGroupedSums:
-    """`copies` > 1 draws each entry as the sum of that many independent
-    P-IG draws at its tilt, term by term in grouped variates."""
+    """`copies` draws each entry as the sum of that many independent P-IG
+    draws at its tilt, term by term in grouped variates."""
 
     @pytest.mark.parametrize("g", (1, 2, 3, 4, 5, 6, 8, 16, 32, 61, 201))
     def test_weight_table_is_exact(self, g):
@@ -446,8 +463,10 @@ class TestGroupedSums:
         n = 1500
         grouped = pig_sample_with_tilts(params, np.full(n, tilt), cfg,
                                         make_rng(11), copies=copies)
-        single = pig_sample_with_tilts(params, np.full((n, copies), tilt), cfg,
-                                       make_rng(12)).sum(axis=1)
+        single = _gig_rvs_row_sums(_ladder_deltas(params, 24),
+                                   np.full(n * copies, tilt), make_rng(12))
+        single = (single.reshape(n, copies).sum(axis=1)
+                  + copies * _pig_tail_mean(PigParams.integer(c=tilt), cfg))
         if tilt == 0.0:  # infinite variance: compare the laws instead
             assert stats.ks_2samp(grouped, single).pvalue > 1e-3
             return

@@ -263,13 +263,15 @@ class TestRejectionPassCap:
 
     @pytest.mark.parametrize("tilts", ([1.5] * 3, [1.5, 0.0, 4.0]))
     def test_pig_ladder_kernel(self, tilts):
-        # rows that share their split take the dense first pass; here the
-        # mixed tilts split at different terms and take the masked one
-        with pytest.raises(ValueError, match="P-IG ladder tilt rejection") as err:
+        # single copies: each omega <= 2 term is one group of one copy; an
+        # untilted row is accepted at once, and the omega > 2 term of tilt 4
+        # waits for the rejection
+        pending = 4 * tilts.count(1.5) + 3 * tilts.count(4.0)
+        with pytest.raises(ValueError, match=self.passes_message(pending)) as err:
             pig_sample_with_tilts(PigParams.integer(), tilts,
                                   PigSamplerConfig(trunc_terms=4), StuckGenerator(6))
-        assert "order -1.5, chi" in str(err.value) and "tilt" in str(err.value)
-        assert f"after {MAX_REJECTION_PASSES} passes" in str(err.value)
+        assert "P-IG grouped tilt rejection" in str(err.value)
+        assert "(group 1, chi 0.176777 to 0.707107, tilt 1.5" in str(err.value)
 
     def test_pig_grouped_sums(self):
         # 33 copies at tilt 1.5: terms 1-3 (omega 1.06, 0.53, 0.35) take
