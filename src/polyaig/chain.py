@@ -23,6 +23,10 @@ class ChainConfig:
             raise ValueError("iterations >= 1, burn_in >= 0, thin >= 1 required")
         if self.burn_in >= self.iterations:
             raise ValueError("burn_in must be smaller than iterations")
+        if self.retained == 0:
+            raise ValueError(
+                f"iterations {self.iterations} - burn_in {self.burn_in} < thin "
+                f"{self.thin}: no draw would be kept")
 
     @property
     def retained(self):

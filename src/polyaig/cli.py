@@ -70,7 +70,7 @@ def _coerce(raw, like):
         raise ConfigError(f"expected a boolean, got {raw!r}")
     if isinstance(like, int):
         return int(raw)
-    if isinstance(like, float):
+    if isinstance(like, float) or like is None:  # None: a number left unset
         return float(raw)
     return raw
 
@@ -232,17 +232,20 @@ def _write_fit(out, samples):
 def cmd_fit_dirichlet(args):
     cfg = _resolve(args, {
         "data": "", "id_cols": 1, "iters": 4000, "burnin": 1000, "thin": 2,
-        "seed": 1, "tau": 0.0, "mean_alpha": 0.0, "trunc": 200,
+        "seed": 1, "tau": None, "mean_alpha": None, "trunc": 200,
         "homogeneous": False, "chains": 1, "out": ".",
     })
     if not cfg["data"]:
         raise ConfigError("--data is required")
-    if cfg["tau"] and cfg["mean_alpha"]:
+    if cfg["tau"] is not None and cfg["mean_alpha"] is not None:
         raise ConfigError("--tau and --mean-alpha are mutually exclusive")
+    for key, flag in (("tau", "--tau"), ("mean_alpha", "--mean-alpha")):
+        if cfg[key] is not None and not 0.0 < cfg[key] < np.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {cfg[key]}")
     counts = parse_counts_csv(cfg["data"], id_cols=cfg["id_cols"])
-    if cfg["tau"]:
+    if cfg["tau"] is not None:
         prior = AlphaPrior(tau=cfg["tau"])
-    elif cfg["mean_alpha"]:
+    elif cfg["mean_alpha"] is not None:
         prior = AlphaPrior.from_mean(cfg["mean_alpha"])
     else:
         prior = AlphaPrior.for_categories(counts.n_categories)

@@ -14,13 +14,16 @@ reciprocal gamma factor uses the Weierstrass-product identity
     w ~ P-IG((1, 2, 3, ...), 0),   valid for every a > 0,
 
 so the auxiliaries w_mk are tilted P-IG draws and, given one slice variable
-per category for the leading ``a`` factor, each alpha_k update collapses to a
-truncated normal. That update reads the auxiliaries only through their
-column totals sum_m w_mk, and the M auxiliaries of a column share one tilt,
-so the chain keeps the K totals and draws each as one sum
-(`pig_sample_with_tilts(..., copies=M)`). Every identity holds on the whole
-support, so the chain targets the exact posterior; the quadrature oracle
-below provides the independent ground truth.
+per alpha for the leading ``a`` factors, each alpha update collapses to a
+truncated normal. That update reads the auxiliaries only through their sums
+over the units and the categories that share one alpha, and those share
+one tilt, so the chain keeps the sums and draws each as one
+(`pig_sample_with_tilts(..., copies=...)`). The shared-alpha model
+(alpha_1 = ... = alpha_K) is the same sweep with one alpha standing for all
+K categories: eta_m ~ Gamma(K alpha), one total of the M*K auxiliaries and
+slice exponent M*K. Every identity holds on the whole support, so the chain
+targets the exact posterior; the quadrature oracle below provides the
+independent ground truth.
 """
 
 from __future__ import annotations
@@ -139,12 +142,22 @@ class AlphaPrior:
 
 @dataclass
 class DirichletChainState:
-    """Current (alpha, log_p, w, eta) of the concentration Gibbs sampler."""
+    """Current (alpha, log_p, w, eta) of the concentration Gibbs sampler.
 
-    alpha: np.ndarray       # (K,); a float in the shared-alpha chain
+    `alpha` holds one concentration per category, or one shared by all K
+    categories; each alpha stands for `per_alpha` = K // alpha.size
+    categories, and `w` holds the total of the auxiliaries that share each
+    alpha's tilt.
+    """
+
+    alpha: np.ndarray       # (K,), or (1,) when shared
     log_p: np.ndarray       # (M, K)
-    w: np.ndarray           # (1, K) column totals; (1,) total if alpha is shared
+    w: np.ndarray           # (1, alpha.size) auxiliary totals
     eta: np.ndarray         # (M,)
+
+    @property
+    def per_alpha(self):
+        return self.log_p.shape[1] // self.alpha.size
 
     def validate(self):
         if np.any(self.alpha <= 0) or np.any(self.eta <= 0) or np.any(self.w <= 0):
@@ -163,15 +176,17 @@ class DirichletChainState:
 
 def update_eta(state, rng):
     """eta_m | alpha ~ Gamma(sum_k alpha_k, 1), independently per unit."""
-    shape = float(state.alpha.sum())
-    return rng.standard_gamma(shape, size=state.eta.shape[0])
+    shape = float(state.alpha.sum()) * state.per_alpha
+    return rng.standard_gamma(shape, size=state.log_p.shape[0])
 
 
 def update_w(state, pig_config, rng):
-    """Column totals sum_m w_mk, shape (1, K), of the auxiliaries
-    w_mk | alpha ~ P-IG(d, sqrt(2) * alpha_k), d_k = k."""
+    """Totals, shape (1, alpha.size), of the auxiliaries
+    w_mk | alpha ~ P-IG(d, sqrt(2) * alpha_k), d_k = k, over the units and
+    the categories of each alpha."""
     return pig_sample_with_tilts(_INTEGER_LADDER, _SQRT2 * state.alpha[None, :],
-                                 pig_config, rng, copies=state.log_p.shape[0])
+                                 pig_config, rng,
+                                 copies=state.log_p.shape[0] * state.per_alpha)
 
 
 def update_p(state, counts, rng):
@@ -181,33 +196,35 @@ def update_p(state, counts, rng):
 
 
 def alpha_coefficients(w, log_p, eta, prior):
-    """Quadratic/linear coefficients (a_k, b_k) of the alpha_k update.
+    """Quadratic/linear coefficients (a_j, b_j) of the update of alpha_j,
+    which stands for r = K // w.shape[1] categories.
 
-    The conditional is proportional to
-    alpha^M exp(-a alpha^2 + b alpha) on alpha > 0 with
-    a_k = sum_m w_mk + 1/(2 tau_k^2) and
-    b_k = sum_m log eta_m + M * EULER_GAMMA + sum_m log p_mk.
-    `w` holds the (M, K) auxiliaries or their (1, K) column totals.
+    The conditional is proportional to alpha^(M r) exp(-a alpha^2 + b alpha)
+    on alpha > 0 with a_j = (sum of its w_mk) + 1/(2 tau_j^2) and b_j = sum
+    over its categories k of (sum_m log eta_m + M * EULER_GAMMA + sum_m log p_mk).
+    `w` holds the (M, K) auxiliaries or their (1, K) column totals, or the
+    (1, 1) total when alpha is shared.
     """
     m, k = log_p.shape
     if m == 0:
         raise ValueError("alpha update needs at least one unit")
-    tau = prior.tau_vector(k)
+    n = w.shape[1]
+    tau = prior.tau_vector(k) if n == k else prior.scalar_tau()
     a = w.sum(axis=0) + 1.0 / (2.0 * tau * tau)
     b = np.log(eta).sum() + m * EULER_GAMMA + log_p.sum(axis=0)
-    return a, b
+    return a, b.reshape(n, -1).sum(axis=1)
 
 
 def update_alpha(state, prior, rng):
-    """alpha_k | w, eta, p via one slice variable and a truncated normal.
+    """alpha | w, eta, p: one slice variable per alpha, then a truncated normal.
 
-    The leading alpha^M factor is handled by a slice bound
-    alpha > alpha_old * V^(1/M); the remainder is the TN(b/2a, 1/2a) kernel,
-    drawn for every category in one call.
+    The leading alpha^(M r) factor (r = `per_alpha`) is handled by a slice
+    bound alpha > alpha_old * V^(1/(M r)); the remainder is the
+    TN(b/2a, 1/2a) kernel, drawn for every alpha in one call.
     """
-    m, k = state.log_p.shape
     a, b = alpha_coefficients(state.w, state.log_p, state.eta, prior)
-    lower = state.alpha * rng.random(k) ** (1.0 / m)
+    exponent = state.log_p.shape[0] * state.per_alpha
+    lower = state.alpha * rng.random(state.alpha.size) ** (1.0 / exponent)
     return truncated_normal_sample(b / (2.0 * a), 1.0 / (2.0 * a),
                                    np.maximum(lower, 0.0), rng)
 
@@ -227,81 +244,45 @@ def _smoothed_log_props(counts):
     return np.log(q / q.sum(axis=1, keepdims=True))
 
 
-def initial_state(counts, prior, pig_config, rng):
-    """Deterministic-ish start: alpha at the prior mean, p at smoothed
-    empirical proportions, then one w pass and one eta pass."""
-    k = counts.n_categories
-    state = DirichletChainState(
-        alpha=prior.mean_vector(k),
-        log_p=_smoothed_log_props(counts),
-        w=np.empty((1, k)),
-        eta=np.empty(counts.n_units),
-    )
+def initial_state(counts, alpha, pig_config, rng):
+    """Deterministic-ish start at `alpha`, (K,) or shared (1,): p at
+    smoothed empirical proportions, then one w pass and one eta pass."""
+    state = DirichletChainState(alpha, _smoothed_log_props(counts), w=None, eta=None)
     state.w = update_w(state, pig_config, rng)
     state.eta = update_eta(state, rng)
     return state
 
 
-def run_chain(counts, prior, config, rng=None):
-    """Posterior draws of the concentration vector for the full model.
-
-    `rng` defaults to a fresh stream seeded by the config; parallel chains
-    pass their own child streams.
-    """
+def _run(counts, alpha, prior, config, rng, names, model):
+    """`gibbs_sweep` chain from `initial_state` at `alpha`. `rng` defaults to
+    a fresh stream seeded by the config; parallel chains pass their own
+    child streams."""
     if counts.n_units == 0:
-        raise ValueError("run_chain needs at least one unit of counts")
+        raise ValueError("the chain needs at least one unit of counts")
     if rng is None:
         rng = make_rng(config.seed)
-    state = initial_state(counts, prior, config.pig_config, rng)
-    names = [f"alpha_{j+1}" for j in range(counts.n_categories)]
-    meta = {"model": "dirichlet-concentration",
-            "categories": list(counts.category_labels)}
+    state = initial_state(counts, alpha, config.pig_config, rng)
+    meta = {"model": model, "categories": list(counts.category_labels)}
     return sample_chain(
         lambda st: gibbs_sweep(st, counts, prior, config.pig_config, rng),
         state, config, names, meta)
 
 
+def run_chain(counts, prior, config, rng=None):
+    """Posterior draws of the concentration vector for the full model,
+    started at the prior mean."""
+    k = counts.n_categories
+    return _run(counts, prior.mean_vector(k), prior, config, rng,
+                [f"alpha_{j+1}" for j in range(k)], "dirichlet-concentration")
+
+
 def run_chain_homogeneous(counts, prior, config, rng=None):
-    """Posterior draws for the shared-alpha model (alpha_1 = ... = alpha_K).
-
-    Same augmentation with a scalar alpha: eta_m ~ Gamma(K alpha, 1),
-    w_mk ~ P-IG(d, sqrt(2) alpha), slice exponent M*K, and a single
-    truncated-normal update. The alpha update reads only sum_mk w_mk, so
-    the M*K auxiliaries, which share one tilt, are drawn as that total. Its
-    eta and alpha steps use K * alpha, which is not bit-equal to the sum
-    over K that `update_eta` and `update_alpha` take.
-    """
-    if counts.n_units == 0:
-        raise ValueError("run_chain_homogeneous needs at least one unit")
-    tau = prior.scalar_tau()
-    m, k = counts.n_units, counts.n_categories
-    if rng is None:
-        rng = make_rng(config.seed)
-
-    def draw_w(alpha):  # the total of the M*K auxiliaries, shape (1,)
-        return pig_sample_with_tilts(_INTEGER_LADDER, np.full(1, _SQRT2 * alpha),
-                                     config.pig_config, rng, copies=m * k)
-
-    def sweep(state):
-        alpha = state.alpha
-        state.eta = rng.standard_gamma(k * alpha, size=m)
-        state.w = draw_w(alpha)
-        state.log_p = update_p(state, counts, rng)
-        a = state.w.sum() + 1.0 / (2.0 * tau * tau)
-        b = k * np.log(state.eta).sum() + m * k * EULER_GAMMA + state.log_p.sum()
-        lower = alpha * rng.random() ** (1.0 / (m * k))
-        state.alpha = truncated_normal_sample(
-            b / (2.0 * a), 1.0 / (2.0 * a), max(lower, 0.0), rng)
-
-    alpha = float(np.sqrt(2.0 / np.pi) * tau)
-    # the first sweep redraws w and eta; these start-up draws hold their
-    # place in the random stream
-    w = draw_w(alpha)
-    state = DirichletChainState(alpha=alpha, log_p=_smoothed_log_props(counts),
-                                w=w, eta=rng.standard_gamma(k * alpha, size=m))
-    meta = {"model": "dirichlet-concentration-homogeneous",
-            "categories": list(counts.category_labels)}
-    return sample_chain(sweep, state, config, ["alpha"], meta)
+    """Posterior draws for the shared-alpha model (alpha_1 = ... = alpha_K):
+    `gibbs_sweep` with one alpha of shape (1,), started at the prior mean.
+    The prior needs one shared tau."""
+    alpha = np.sqrt(2.0 / np.pi) * np.atleast_1d(prior.scalar_tau())
+    return _run(counts, alpha, prior, config, rng, ["alpha"],
+                "dirichlet-concentration-homogeneous")
 
 
 # ---------------------------------------------------------------------------

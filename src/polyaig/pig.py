@@ -48,9 +48,10 @@ from .special import digamma, log_gamma
 
 _SQRT2 = np.sqrt(2.0)
 
-# Element budget per rejection batch; keeps the trunc_terms x n_draws
-# matrices out of swap without changing the draw stream for a fixed value.
-_CHUNK_ELEMENTS = 4_000_000
+# Element budget per rejection batch: the grouped path holds about 48 bytes
+# of working arrays per (row, term, copy) element, so a chunk needs about
+# 50 MB. The draw stream is fixed for a fixed value.
+_CHUNK_ELEMENTS = 1_000_000
 
 # Grouped sums: a cell takes all its copies in one group up to
 # _MAX_WHOLE_GROUP copies (the weight table's build time grows about tenfold

@@ -54,6 +54,12 @@ class TestSampleChain:
         assert state.value == 100
 
 
+def test_config_refuses_a_thinning_that_keeps_no_draw():
+    with pytest.raises(ValueError, match=r"iterations 10 - burn_in 5 < thin 10"):
+        ChainConfig(iterations=10, burn_in=5, thin=10)
+    assert ChainConfig(iterations=10, burn_in=5, thin=5).retained == 1
+
+
 def test_shared_alpha_chain_validates_its_state(monkeypatch):
     calls = []
     real = dirichlet.DirichletChainState.validate

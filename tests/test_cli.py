@@ -139,6 +139,42 @@ class TestFitDirichlet:
         assert run_cli("fit-dirichlet", "--data", FIXTURE, "--id-cols", "2",
                        "--tau", "0.5", "--mean-alpha", "0.2") == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("settings, named", [
+        ({"tau": "0"}, "--tau must be"),
+        ({"tau": "-1"}, "--tau must be"),
+        ({"mean_alpha": "0"}, "--mean-alpha must be"),
+        ({"tau": "0", "mean_alpha": "0.5"}, "mutually exclusive"),
+    ])
+    def test_nonpositive_prior_values_exit_2(self, tmp_path, capsys, source,
+                                             settings, named):
+        if source == "flag":
+            args = [f"--{key.replace('_', '-')}={value}"
+                    for key, value in settings.items()]
+        else:
+            cfg = tmp_path / "prior.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+            args = ["--config", str(cfg)]
+        assert self._fit(tmp_path / "out", *args) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_prior_tau_from_default_and_config(self, tmp_path):
+        assert self._fit(tmp_path / "a") == 0
+        cfg = tmp_path / "prior.cfg"
+        cfg.write_text("mean_alpha=0.25\n")
+        assert self._fit(tmp_path / "b", "--config", str(cfg)) == 0
+        for out, tau in (("a", np.sqrt(np.pi / 2) / 6),
+                         ("b", 0.25 * np.sqrt(np.pi / 2))):
+            meta = json.loads((tmp_path / out / "summary.json").read_text())["meta"]
+            assert meta["prior_tau"] == pytest.approx([tau] * 6, rel=1e-12)
+
+    def test_thinning_that_keeps_no_draw_exit_2(self, tmp_path, capsys):
+        assert self._fit(tmp_path / "out", "--iters", "10", "--burnin", "5",
+                         "--thin", "10") == 2
+        assert "iterations 10 - burn_in 5 < thin 10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_3(self):
         assert run_cli("fit-dirichlet", "--data", "does_not_exist.csv") == 3
 

@@ -124,7 +124,8 @@ class TestMarginalLogLikelihood:
 
 
 def _toy_state(counts, prior, seed=0):
-    return initial_state(counts, prior, FAST_PIG, make_rng(seed))
+    return initial_state(counts, prior.mean_vector(counts.n_categories), FAST_PIG,
+                         make_rng(seed))
 
 
 class TestUpdates:
@@ -236,6 +237,37 @@ class TestAlphaCoefficients:
         a, b = alpha_coefficients(w, log_p, eta, prior)
         a_tot, b_tot = alpha_coefficients(w.sum(axis=0, keepdims=True), log_p, eta, prior)
         assert np.array_equal(a, a_tot) and np.array_equal(b, b_tot)
+
+    def test_shared_alpha_coefficients_from_the_augmented_joint(self):
+        # shared alpha, M = 2, K = 3: the joint term by term from log_gamma
+        # (Dir(p_m | alpha 1_K), Gamma(K alpha) -> eta_m^(K alpha - 1) e^-eta_m,
+        # each 1/Gamma(alpha) -> alpha e^(EULER_GAMMA alpha - alpha^2 w_mk))
+        # is alpha^(M K) exp(-a alpha^2 + b alpha) up to alpha-free factors
+        w = np.array([[0.5, 0.25, 1.5], [0.125, 2.0, 0.75]])
+        p = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+        eta = np.array([1.5, 0.4])
+        tau = 0.8
+        m, k = p.shape
+
+        def log_augmented_joint(alpha):
+            log_prior = -alpha * alpha / (2.0 * tau * tau)
+            log_dirichlet = m * (log_gamma(k * alpha) - k * log_gamma(alpha)) \
+                + (alpha - 1.0) * np.log(p).sum()
+            gamma_swap = np.sum(-log_gamma(k * alpha)
+                                + (k * alpha - 1.0) * np.log(eta) - eta)
+            reciprocal_swap = np.sum(log_gamma(alpha) + np.log(alpha)
+                                     + EULER_GAMMA * alpha - alpha * alpha * w)
+            return log_prior + log_dirichlet + gamma_swap + reciprocal_swap
+
+        grid = np.array([0.25, 0.5, 1.0, 2.0, 3.0])
+        target = np.array([log_augmented_joint(x) for x in grid]) - m * k * np.log(grid)
+        design = np.column_stack([-grid * grid, grid, np.ones_like(grid)])
+        coef = np.linalg.lstsq(design, target, rcond=None)[0]
+        assert np.max(np.abs(design @ coef - target)) <= 1e-9
+        a, b = alpha_coefficients(np.array([[w.sum()]]), np.log(p), eta,
+                                  AlphaPrior(tau=tau))
+        assert a.shape == b.shape == (1,)
+        assert abs(a[0] - coef[0]) <= 1e-9 and abs(b[0] - coef[1]) <= 1e-9
 
     def test_symmetry_across_categories(self):
         w = np.array([[0.7, 0.7], [0.2, 0.2]])

@@ -58,6 +58,16 @@ def test_traced_fits_reach_every_sampler_layer(tmp_path):
     assert tracer.variates > 0
 
 
+def _children(tracer, parent, child):
+    """For each span named `parent`, the number of its direct `child` spans."""
+    names = {s[0]: s[3] for s in tracer.spans}
+    per_parent = {sid: 0 for sid, name in names.items() if name == parent}
+    for s in tracer.spans:
+        if s[3] == child and names.get(s[1]) == parent:
+            per_parent[s[1]] += 1
+    return list(per_parent.values())
+
+
 def test_one_batched_draw_per_update(tmp_path):
     """`update_p` draws the whole p matrix and `update_alpha` every category
     in one call each, and `predict` draws every simplex in one call."""
@@ -72,20 +82,13 @@ def test_one_batched_draw_per_update(tmp_path):
                      "--draws-per-sample", "3", "--out", str(tmp_path / "p")]) == 0
     finally:
         tracer.uninstall()
-    names = {s[0]: s[3] for s in tracer.spans}
 
-    def children(parent, child):
-        per_parent = {sid: 0 for sid, name in names.items() if name == parent}
-        for s in tracer.spans:
-            if s[3] == child and names.get(s[1]) == parent:
-                per_parent[s[1]] += 1
-        return list(per_parent.values())
-
-    assert children("dirichlet.update_p", "rng.dirichlet_log_sample") == [1] * sweeps
-    assert children("dirichlet.update_alpha",
-                    "rng.truncated_normal_sample") == [1] * sweeps
-    assert children("dirichlet.posterior_predictive",
-                    "rng.dirichlet_log_sample") == [1]
+    assert _children(tracer, "dirichlet.update_p",
+                     "rng.dirichlet_log_sample") == [1] * sweeps
+    assert _children(tracer, "dirichlet.update_alpha",
+                     "rng.truncated_normal_sample") == [1] * sweeps
+    assert _children(tracer, "dirichlet.posterior_predictive",
+                     "rng.dirichlet_log_sample") == [1]
     assert sum(s[3] == "rng.dirichlet_log_sample" for s in tracer.spans) == sweeps + 1
 
 
@@ -109,3 +112,21 @@ def test_one_pig_call_per_shared_tilt_update(tmp_path):
             tracer.uninstall()
         calls = sum(s[3] == "pig.pig_sample_with_tilts" for s in tracer.spans)
         assert calls == sweeps + 1, args
+
+
+def test_shared_alpha_fit_runs_the_gibbs_sweep(tmp_path):
+    """The `--homogeneous` fit runs `gibbs_sweep` once a sweep, and its
+    `update_p` draws the whole p matrix in one call."""
+    sweeps = 12
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["fit-dirichlet", "--data", str(FIXTURE), "--id-cols", "2",
+                     "--homogeneous", "--iters", str(sweeps), "--burnin", "2",
+                     "--thin", "1", "--trunc", "16", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert _children(tracer, "dirichlet.run_chain_homogeneous",
+                     "dirichlet.gibbs_sweep") == [sweeps]
+    assert _children(tracer, "dirichlet.update_p",
+                     "rng.dirichlet_log_sample") == [1] * sweeps
