@@ -29,6 +29,7 @@ independent ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +45,11 @@ _INTEGER_LADDER = PigParams.integer()
 # maximum for the quadrature to accept the grid (tail cutoff 1e-10).
 _TAIL_LOG_GAP = np.log(1e10)
 _MAX_LOG_JUMP = 0.5
+# posterior_grid never reaches left of _GRID_FLOOR; it lays _GRID_POINTS
+# points and halves their spacing at most _MAX_GRID_DOUBLINGS times
+_GRID_FLOOR = 1e-9
+_GRID_POINTS = 20001
+_MAX_GRID_DOUBLINGS = 6
 
 
 @dataclass
@@ -319,16 +325,57 @@ def normalize_on_grid(grid, log_f):
     return f / np.trapezoid(f, grid)
 
 
+def posterior_grid(log_post):
+    """Geometric grid that `normalize_on_grid` accepts for a unimodal
+    unnormalized log density `log_post`, vectorized over alpha > 0.
+
+    A 400-point probe of [1e-3, 1e3] widens an end 1000-fold while the log
+    density there is within `_TAIL_LOG_GAP` + 20 of the probe's peak; the
+    left end stops at `_GRID_FLOOR`. Then the probe is trimmed to the points
+    above that level and their neighbours, and laid again, until a trim
+    keeps more than half its log width. On that bracket `_GRID_POINTS`
+    points halve their spacing until no adjacent log-density jump exceeds
+    `_MAX_LOG_JUMP`.
+    """
+    lo, hi = 1e-3, 1e3
+    for _ in range(30):
+        probe = np.geomspace(lo, hi, 400)
+        log_f = log_post(probe)
+        level = log_f.max() - (_TAIL_LOG_GAP + 20.0)
+        if log_f[0] >= level and lo > _GRID_FLOOR:
+            lo = max(lo * 1e-3, _GRID_FLOOR)
+        elif log_f[-1] >= level:
+            hi *= 1e3
+        else:
+            above = np.nonzero(log_f >= level)[0]
+            width = np.log(hi / lo)
+            lo, hi = probe[max(above[0] - 1, 0)], probe[min(above[-1] + 1, 399)]
+            if np.log(hi / lo) > 0.5 * width:
+                break
+    else:
+        raise ValueError(f"no bracket found within 30 probes; last [{lo:.6g}, {hi:.6g}]")
+    for doublings in range(_MAX_GRID_DOUBLINGS + 1):
+        grid = np.geomspace(lo, hi, (_GRID_POINTS - 1) * 2**doublings + 1)
+        jump = np.abs(np.diff(log_post(grid))).max()
+        if jump <= _MAX_LOG_JUMP:
+            return grid
+    raise ValueError(f"grid too coarse after {doublings} doublings: log-density jump "
+                     f"{jump:.3f} > {_MAX_LOG_JUMP} with {grid.size} points on "
+                     f"[{lo:.6g}, {hi:.6g}]")
+
+
+def _log_rising_sum(x, counts):
+    """Sum over the entries n of `counts` of log Gamma(x + n) - log Gamma(x),
+    taken once per distinct n."""
+    base = log_gamma(x)
+    values, reps = np.unique(counts, return_counts=True)
+    return sum(r * (log_gamma(x + v) - base) for v, r in zip(values, reps))
+
+
 def _homogeneous_log_post(counts, tau, grid):
-    k = counts.n_categories
-    log_f = -0.5 * grid**2 / tau**2
-    for i in range(counts.n_units):
-        n = counts.counts[i]
-        log_f = log_f + (
-            log_gamma(k * grid) - log_gamma(k * grid + float(n.sum()))
-            + sum(log_gamma(nk + grid) - log_gamma(grid) for nk in n)
-        )
-    return log_f
+    """Log prior plus the M marginal log likelihoods of the shared alpha."""
+    return (-0.5 * grid**2 / tau**2 + _log_rising_sum(grid, counts.counts)
+            - _log_rising_sum(counts.n_categories * grid, counts.row_sums))
 
 
 def quadrature_posterior(counts, prior, grid):
@@ -343,21 +390,9 @@ def quadrature_posterior(counts, prior, grid):
     return normalize_on_grid(grid, log_f)
 
 
-def homogeneous_posterior_grid(counts, prior, points=20001):
-    """Geometric grid wide enough for `quadrature_posterior` to accept."""
-    tau = prior.scalar_tau()
-    probe = np.geomspace(1e-6, 50.0 * tau + 50.0, 400)
-    log_f = _homogeneous_log_post(counts, tau, probe)
-    hi = probe[-1]
-    while log_f[-1] > log_f.max() - (_TAIL_LOG_GAP + 20.0):
-        hi *= 2.0
-        probe = np.geomspace(1e-6, hi, 400)
-        log_f = _homogeneous_log_post(counts, tau, probe)
-    i_max = int(np.argmax(log_f))
-    above = np.nonzero(log_f > log_f[i_max] - (_TAIL_LOG_GAP + 25.0))[0]
-    hi = probe[min(above[-1] + 1, probe.size - 1)]
-    lo = min(probe[above[0]], probe[i_max]) * 1e-3
-    return np.geomspace(lo, hi, points)
+def homogeneous_posterior_grid(counts, prior):
+    """`posterior_grid` of the shared-alpha posterior."""
+    return posterior_grid(partial(_homogeneous_log_post, counts, prior.scalar_tau()))
 
 
 def grid_mean_sd(grid, density):
@@ -383,17 +418,10 @@ def quadrature_posterior_k2(counts, prior, grid):
         raise ValueError("this oracle is for K = 2 only")
     grid = check_grid(grid)
     tau = prior.tau_vector(2)
-    a1 = grid[:, None]
-    a2 = grid[None, :]
-    log_f = -0.5 * a1**2 / tau[0] ** 2 - 0.5 * a2**2 / tau[1] ** 2
-    for i in range(counts.n_units):
-        n1, n2 = (float(v) for v in counts.counts[i])
-        tot = a1 + a2
-        log_f = log_f + (
-            log_gamma(tot) - log_gamma(tot + n1 + n2)
-            + log_gamma(n1 + a1) - log_gamma(a1)
-            + log_gamma(n2 + a2) - log_gamma(a2)
-        )
+    a1, a2 = grid[:, None], grid[None, :]
+    log_f = (-0.5 * a1**2 / tau[0] ** 2 + _log_rising_sum(a1, counts.counts[:, 0])
+             - 0.5 * a2**2 / tau[1] ** 2 + _log_rising_sum(a2, counts.counts[:, 1])
+             - _log_rising_sum(a1 + a2, counts.row_sums))
     f = np.exp(log_f - log_f.max())
     z = np.trapezoid(np.trapezoid(f, grid, axis=1), grid)
     return f / z

@@ -22,18 +22,16 @@ makes any such gap visible).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .chain import sample_chain
-from .dirichlet import (_INTEGER_LADDER, _MAX_LOG_JUMP, _SQRT2, _TAIL_LOG_GAP,
-                        check_grid, normalize_on_grid)
+from .dirichlet import (_INTEGER_LADDER, _SQRT2, check_grid, normalize_on_grid,
+                        posterior_grid)
 from .pig import pig_sample_with_tilts
 from .rng import make_rng, truncated_normal_sample
-from .special import EULER_GAMMA, digamma, log_gamma
-
-# shape_posterior_grid halves its spacing at most this many times
-_MAX_GRID_DOUBLINGS = 6
+from .special import EULER_GAMMA, log_gamma
 
 
 @dataclass(frozen=True)
@@ -177,39 +175,7 @@ def shape_posterior_quadrature(y, prior, grid):
     return normalize_on_grid(grid, _log_post(shape_hyper(y, prior), grid))
 
 
-def shape_posterior_grid(y, prior, points=None):
-    """Geometric grid around the posterior mode, wide and fine enough to be
-    accepted by `shape_posterior_quadrature`.
-
-    The mode solves digamma(alpha) = log beta'_y / b'; Newton from a crude
-    start converges in a handful of steps. The default point count scales
-    with b' so the 0.5 log-jump budget holds near the origin; where the
-    density is steeper than that (large alpha with large b'), the spacing
-    is halved, up to `_MAX_GRID_DOUBLINGS` times, until every adjacent
-    log-density jump is within the budget.
-    """
-    from scipy.special import polygamma
-
-    hyper = shape_hyper(y, prior)
-    if points is None:
-        points = max(20001, 30 * hyper.b + 1)
-    target = hyper.log_beta_y / hyper.b
-    mode = max(np.exp(target) if target < 0 else target + 0.5, 1e-3)
-    for _ in range(60):
-        step = (digamma(mode) - target) / polygamma(1, mode)
-        mode = max(mode - step, mode / 10.0)
-        if abs(step) < 1e-12 * max(mode, 1.0):
-            break
-    sd = 1.0 / np.sqrt(hyper.b * polygamma(1, mode))
-    hi = mode + 14.0 * sd
-    while _log_post(hyper, np.array([hi]))[0] > _log_post(
-            hyper, np.array([mode]))[0] - (_TAIL_LOG_GAP + 20.0):
-        hi *= 1.5
-    lo = max(mode * 1e-4, 1e-8)
-    grid = np.geomspace(lo, hi, points)
-    for _ in range(_MAX_GRID_DOUBLINGS):
-        if np.abs(np.diff(_log_post(hyper, grid))).max() <= _MAX_LOG_JUMP:
-            break
-        points = 2 * points - 1
-        grid = np.geomspace(lo, hi, points)
-    return grid
+def shape_posterior_grid(y, prior):
+    """`posterior_grid` of the shape posterior, which
+    `shape_posterior_quadrature` accepts."""
+    return posterior_grid(partial(_log_post, shape_hyper(y, prior)))

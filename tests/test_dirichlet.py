@@ -3,17 +3,21 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from polyaig.chain import ChainConfig, PosteriorSamples
-from polyaig.dirichlet import (AlphaPrior, CountMatrix, DirichletChainState,
+from polyaig.dirichlet import (_GRID_FLOOR, _GRID_POINTS, AlphaPrior, CountMatrix,
+                               DirichletChainState, _homogeneous_log_post,
                                alpha_coefficients, gibbs_sweep, grid_cdf,
                                grid_mean_sd, homogeneous_posterior_grid,
-                               initial_state, posterior_predictive, quadrature_posterior,
+                               initial_state, normalize_on_grid, posterior_grid,
+                               posterior_predictive, quadrature_posterior,
                                quadrature_posterior_k2, run_chain,
                                run_chain_homogeneous, update_eta,
                                update_p, update_w)
+from polyaig.io import parse_counts_csv
 from polyaig.pig import PigParams, PigSamplerConfig, _tail_mean_ladder
 from polyaig.rng import make_rng
 from polyaig.special import EULER_GAMMA, log_gamma
 from polyaig.summarize import batch_means_mcse
+from quad_oracle import quad_mean
 
 FAST_PIG = PigSamplerConfig(trunc_terms=200)
 
@@ -32,6 +36,24 @@ def _marginal_log_likelihood(n_row, alpha):
     total = alpha.sum()
     return float(log_gamma(total) - log_gamma(total + n.sum())
                  + np.sum(log_gamma(n + alpha) - log_gamma(alpha)))
+
+
+def _per_unit_log_post(counts, tau, grid):
+    """The shared-alpha log posterior summed unit by unit and cell by cell."""
+    k = counts.n_categories
+    log_f = -0.5 * grid**2 / tau**2
+    for n in counts.counts:
+        log_f = log_f + log_gamma(k * grid) - log_gamma(k * grid + float(n.sum()))
+        for nk in n:
+            log_f = log_f + log_gamma(nk + grid) - log_gamma(grid)
+    return log_f
+
+
+def _forty_count_units(m, seed=0):
+    """M units of 40 counts over K = 6 categories."""
+    rng = make_rng(seed)
+    return CountMatrix.from_array(rng.multinomial(40, rng.dirichlet(np.ones(6)),
+                                                  size=m))
 
 
 def _permuted_categories(counts, order):
@@ -479,6 +501,87 @@ class TestQuadrature:
         cdf = grid_cdf(grid, quadrature_posterior(counts, prior, grid))
         assert cdf[0] == 0.0 and cdf[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(cdf) >= 0.0)
+
+
+class TestPosteriorGrid:
+    @pytest.mark.parametrize("mu, s2", [(np.log(1e-7), 0.01), (np.log(1e7), 0.01),
+                                        (0.0, 1e-10)])
+    def test_mass_far_from_the_probe_or_narrower_than_its_spacing(self, mu, s2):
+        # log-normal in log alpha: far below or above [1e-3, 1e3], or 1e-5
+        # wide where the first probe's spacing is 0.035. The mean of
+        # exp(-(log x - mu)^2 / (2 s2)) dx is exp(mu + 1.5 s2).
+        def log_post(x):
+            return -0.5 * (np.log(x) - mu) ** 2 / s2
+
+        grid = posterior_grid(log_post)
+        assert grid.size == _GRID_POINTS
+        assert grid[0] < np.exp(mu) < grid[-1]
+        mean, _ = grid_mean_sd(grid, normalize_on_grid(grid, log_post(grid)))
+        assert mean == pytest.approx(np.exp(mu + 1.5 * s2), rel=1e-9)
+
+    def test_flat_density_stops_at_the_left_floor(self):
+        def log_post(x):
+            return -x
+
+        grid = posterior_grid(log_post)
+        assert grid[0] == _GRID_FLOOR
+        mean, sd = grid_mean_sd(grid, normalize_on_grid(grid, log_post(grid)))
+        assert mean == pytest.approx(1.0, rel=1e-8)
+        assert sd == pytest.approx(1.0, rel=1e-8)
+
+    def test_refuses_a_grid_still_too_coarse_after_the_doublings(self):
+        with pytest.raises(ValueError, match=r"jump .* 1280001 points on \["):
+            posterior_grid(lambda x: 5.0 * np.log(x) - 3e5 * np.log(np.maximum(x, 1.0)))
+
+    def test_refuses_a_density_that_does_not_fall_off(self):
+        with pytest.raises(ValueError, match="no bracket"):
+            posterior_grid(lambda x: np.log(x))
+
+
+class TestHomogeneousOracle:
+    @pytest.mark.parametrize("m", [1, 6, 1000])
+    def test_distinct_count_sums_match_the_per_unit_sum(self, m):
+        counts = _forty_count_units(m, seed=m)
+        grid = np.geomspace(1e-6, 50.0, 60)
+        np.testing.assert_allclose(_homogeneous_log_post(counts, 0.7, grid),
+                                   _per_unit_log_post(counts, 0.7, grid),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [400, 1000, 5000])
+    def test_large_m_matches_adaptive_quadrature(self, m):
+        counts = _forty_count_units(m, seed=m)
+        prior = AlphaPrior.for_categories(6)
+        grid = homogeneous_posterior_grid(counts, prior)
+        mean, _ = grid_mean_sd(grid, quadrature_posterior(counts, prior, grid))
+        truth = quad_mean(
+            lambda x: _homogeneous_log_post(counts, prior.scalar_tau(), x), grid)
+        assert mean == pytest.approx(truth, rel=1e-9)
+
+    def test_snapshot_matches_adaptive_quadrature(self):
+        counts = parse_counts_csv("data/opioid_deaths.csv", id_cols=2)
+        prior = AlphaPrior.for_categories(counts.n_categories)
+        grid = homogeneous_posterior_grid(counts, prior)
+        mean, _ = grid_mean_sd(grid, quadrature_posterior(counts, prior, grid))
+        truth = quad_mean(
+            lambda x: _homogeneous_log_post(counts, prior.scalar_tau(), x), grid)
+        assert mean == pytest.approx(truth, rel=1e-9)
+
+    @pytest.mark.parametrize("rows", [[[8, 8]] * 6,
+                                      [[8, 3], [5, 6], [11, 2], [4, 9], [0, 5]]])
+    def test_k2_distinct_count_sums_match_the_per_unit_loop(self, rows):
+        counts = CountMatrix.from_array(rows)
+        prior = AlphaPrior(tau=(1.0, 0.6))
+        grid = np.geomspace(2e-4, 25.0, 300)
+        a1, a2 = grid[:, None], grid[None, :]
+        log_f = -0.5 * a1**2 - 0.5 * a2**2 / 0.36
+        for n1, n2 in counts.counts:
+            log_f = log_f + (log_gamma(a1 + a2) - log_gamma(a1 + a2 + n1 + n2)
+                             + log_gamma(n1 + a1) - log_gamma(a1)
+                             + log_gamma(n2 + a2) - log_gamma(a2))
+        f = np.exp(log_f - log_f.max())
+        f /= np.trapezoid(np.trapezoid(f, grid, axis=1), grid)
+        np.testing.assert_allclose(quadrature_posterior_k2(counts, prior, grid), f,
+                                   rtol=1e-12)
 
 
 class TestPosteriorPredictive:

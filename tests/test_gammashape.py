@@ -4,9 +4,10 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import norm
 
 from polyaig.chain import ChainConfig
-from polyaig.dirichlet import grid_cdf, grid_mean_sd
+from polyaig.dirichlet import (grid_cdf, grid_mean_sd, normalize_on_grid,
+                               posterior_grid)
 from polyaig.gammashape import (GammaShapeChainState, GammaShapePrior,
-                                ShapeHyper, run_shape_chain, shape_hyper,
+                                ShapeHyper, _log_post, run_shape_chain, shape_hyper,
                                 shape_posterior_grid,
                                 shape_posterior_quadrature, update_alpha_shape,
                                 update_w_shape)
@@ -14,6 +15,7 @@ from polyaig.pig import PigSamplerConfig
 from polyaig.rng import make_rng
 from polyaig.special import EULER_GAMMA, log_gamma
 from polyaig.summarize import batch_means_mcse
+from quad_oracle import quad_mean
 
 FAST_PIG = PigSamplerConfig(trunc_terms=200)
 
@@ -194,18 +196,37 @@ class TestQuadrature:
             shape_posterior_quadrature(y, prior, np.geomspace(0.5, 3.05, 30000))
 
     def test_steep_posterior_grid_is_refined_until_accepted(self):
-        # Gamma(20, 5) data, n = 200: with b' = 201 the default 20001-point
-        # grid jumps ~0.7 in log density near alpha = 7, so it is refined.
+        # Gamma(20, 5) data, n = 200: trimmed to the mass, 20001 points pass.
         y = np.random.default_rng(np.random.SeedSequence([1, 2, 2, 0])).gamma(
             20.0, 1.0 / 5.0, size=200)
-        prior = GammaShapePrior(beta=5.0)
-        grid = shape_posterior_grid(y, prior)
+        assert shape_posterior_grid(y, GammaShapePrior(beta=5.0)).size == 20001
+
+        # A wide left tail and a kink at alpha = 1 past which the log density
+        # falls by 2000 per unit of log alpha: 20001 points jump too far
+        # there, so the spacing is halved until every jump is <= 0.5.
+        def log_post(x):
+            return 5.0 * np.log(x) - 2000.0 * np.log(np.maximum(x, 1.0))
+
+        grid = posterior_grid(log_post)
         assert grid.size == 40001
-        dens = shape_posterior_quadrature(y, prior, grid)
-        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-8)
+        dens = normalize_on_grid(grid, log_post(grid))
+        assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-12)
+        coarse = np.geomspace(grid[0], grid[-1], 20001)
         with pytest.raises(ValueError, match="too coarse"):
-            shape_posterior_quadrature(
-                y, prior, np.geomspace(grid[0], grid[-1], 20001))
+            normalize_on_grid(coarse, log_post(coarse))
+
+    @pytest.mark.parametrize("i, shape, rate, n", [
+        (0, 0.4, 1.0, 60), (1, 3.0, 2.0, 200), (2, 20.0, 5.0, 200)])
+    def test_benchmark_instances_match_adaptive_quadrature(self, i, shape, rate, n):
+        # the data sets of the gamma-shape benchmark workload at seed 1
+        y = np.random.default_rng(np.random.SeedSequence([1, 2, i, 0])).gamma(
+            shape, 1.0 / rate, size=n)
+        prior = GammaShapePrior(beta=rate)
+        grid = shape_posterior_grid(y, prior)
+        mean, _ = grid_mean_sd(grid, shape_posterior_quadrature(y, prior, grid))
+        hyper = shape_hyper(y, prior)
+        assert mean == pytest.approx(
+            quad_mean(lambda x: _log_post(hyper, x), grid), rel=1e-9)
 
     def test_accepted_default_grid_is_not_refined(self):
         y = make_rng(20).gamma(3.0, 0.5, size=200)
