@@ -14,9 +14,11 @@ alpha~ | w is a truncated normal on (-1, inf). The alpha~ update reads only
 sum_j w_j, and all b' auxiliaries share one tilt, so the chain keeps that
 total and draws it in one call (`pig_sample_with_tilts(..., copies=b')`).
 
-The mixture identity holds for alpha >= 1; for posteriors with substantial
-mass below 1 the update is approximate in that region (the quadrature oracle
-makes any such gap visible).
+The mixture identity holds for alpha >= 1 only, and the update is wrong
+where the posterior has mass below 1: at n = 60, Gamma(0.4, 1) data give a
+chain mean of 0.015 against the quadrature oracle's 0.389, and Gamma(0.8, 1)
+data 0.637 against 0.771. Such fits are unusable until the exact alpha
+kernel (ROADMAP item 2) replaces this update.
 """
 
 from __future__ import annotations

@@ -30,15 +30,18 @@ polynomials and properties of Student-t distributions", Constr. Approx.
 is that mixture tilted by exp(-c^2 x/2): exact rejection from the mixture,
 accepting with probability ((1 + omega) e^{-omega})^g, omega = delta_k c.
 
-Every draw goes this way: a single draw is the sum of one copy, whose
-groups of g = 1 are the InvGamma(3/2, beta_k) proposal itself (nu = 1, no
-order to draw). Terms with omega > 2 are single `gig_rvs` draws instead,
-which need no rejection loop.
+Every draw goes this way. Each ladder term gets its group sizes once, at
+the largest omega <= 2 among the call's rows, so that each group accepts
+at least half its proposals; the sizes set only the cost, as each group is
+an exact draw at its own row's tilt. A single copy's group is the
+InvGamma(3/2, beta_k) proposal itself (nu = 1, no order to draw). Terms
+with omega > 2 are single `gig_rvs` draws, with no rejection loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -53,7 +56,7 @@ _SQRT2 = np.sqrt(2.0)
 # 50 MB. The draw stream is fixed for a fixed value.
 _CHUNK_ELEMENTS = 1_000_000
 
-# Grouped sums: a cell takes all its copies in one group up to
+# Grouped sums: a term takes all its copies in one group up to
 # _MAX_WHOLE_GROUP copies (the weight table's build time grows about tenfold
 # from 256 to 512), else groups of at most 2**_MAX_LEVEL terms; a
 # still-rejected group gets _RETRY_PROPOSALS proposals on every later pass.
@@ -61,10 +64,7 @@ _MAX_WHOLE_GROUP = 256
 _MAX_LEVEL = 5
 _RETRY_PROPOSALS = 4
 _LOG2 = np.log(2.0)
-_LEVELS = np.arange(_MAX_LEVEL + 1)[:, None]
-_POW2 = 2 ** _LEVELS.ravel()
-# a 2**j group passes when its loss is at most log 2 / 2**j; ascending
-_LEVEL_BOUNDS = _LOG2 / _POW2[:0:-1]
+_POW2 = 2 ** np.arange(_MAX_LEVEL + 1)
 
 # g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
 _ORDER_CDFS = {}
@@ -206,119 +206,115 @@ def _order_cdf(g):
     return cdf
 
 
-def _group_sizes(omega, copies):
-    """Terms per group in each cell, chosen so that a group's tilt rejection
-    accepts at least half its proposals, g (omega - log1p omega) <= log 2:
-    all `copies` where that holds and copies <= `_MAX_WHOLE_GROUP`, else the
-    largest power of two g <= min(copies, 2**_MAX_LEVEL) where it holds."""
-    loss = omega - np.log1p(omega)
-    size = np.full(omega.size, copies)
-    part = (copies * loss > _LOG2) | (copies > _MAX_WHOLE_GROUP)
-    if part.any():
-        top = min(copies.bit_length() - 1, _MAX_LEVEL)
-        # levels 1..top whose bound loss exceeds
-        above = _LEVEL_BOUNDS[_MAX_LEVEL - top:].searchsorted(loss[part])
-        size[part] = _POW2[top - above]
-    return size
+@lru_cache(maxsize=None)
+def _group_table(copies):
+    """Group sizes for `copies` copies (powers of two below copies, up to
+    2**_MAX_LEVEL, then copies up to `_MAX_WHOLE_GROUP`) and their g^2/2. A
+    term at omega takes size c = `bound.searchsorted(log1p(omega) - omega,
+    side="right")`, the largest g with g (omega - log1p omega) <= log 2, or
+    g = 1, and `table[:, c]` groups of each size: copies // g of g and one
+    per binary digit of copies % g; `low[c]` is the smallest of them."""
+    sizes = _POW2[_POW2 < copies]
+    if copies <= _MAX_WHOLE_GROUP:
+        sizes = np.append(sizes, copies)
+    digit = np.arange(sizes.size)
+    table = np.diag(copies // sizes) + np.triu(copies % sizes >> digit[:, None] & 1, 1)
+    low = (table > 0).argmax(axis=0)
+    sizes.flags.writeable = table.flags.writeable = low.flags.writeable = False
+    return sizes, -_LOG2 / sizes[1:], table, low, sizes * sizes / 2.0
 
 
-def _group_entries(size, copies):
-    """Cell, size and the distinct sizes > 1 of every group, sorted by size:
-    a cell of size g < copies (a power of two) takes copies // g groups of g
-    plus one group per binary digit of copies % g, then each cell of size
-    copies takes one group; a cell of size 0 takes none."""
-    part = ((size > 0) & (size < copies)).nonzero()[0]
-    whole = (size == copies).nonzero()[0]
-    level = _POW2.searchsorted(size[part])
-    per = copies >> _LEVELS
-    count = np.where(_LEVELS < level, per & 1, (_LEVELS == level) * per)  # size-major
-    every = np.concatenate((_POW2, [copies]))
-    total = np.concatenate((count.sum(axis=1), [whole.size]))
-    cell = part[None, :].repeat(_LEVELS.size, axis=0).ravel().repeat(count.ravel())
-    return (np.concatenate((cell, whole)), every.repeat(total),
-            every[(total > 0) & (every > 1)].tolist())
-
-
-def _group_proposals(group, sizes, scale, rng):
-    """One untilted g-sum proposal per entry, entries sorted by g = `group`:
-    nu from the g-fold weights (nu = 1 at g = 1) and x = scale / Gamma(nu +
-    1/2). `sizes` lists the distinct g > 1, ascending, or is [1] when every
-    entry is a single copy, which draws no order uniform."""
-    if sizes == [1]:
-        x = rng.standard_gamma(1.5, size=group.size)
+def _group_proposals(sizes, edges, scale, rng):
+    """One untilted g-sum proposal per entry, x = scale / Gamma(nu + 1/2),
+    nu from the g-fold weights: edges[i]:edges[i + 1] have g = sizes[i] > 1,
+    the others g = 1 (nu = 1); with no `sizes`, no order uniform is drawn."""
+    if not sizes:
+        x = rng.standard_gamma(1.5, size=scale.size)
     else:
-        u = rng.random(group.size)  # g = 1 entries leave theirs unused
-        shape = np.full(group.size, 1.5)
-        edges = group.searchsorted(sizes).tolist() + [group.size]
+        u = rng.random(scale.size)  # single copies leave theirs unused
+        shape = np.full(scale.size, 1.5)
         for g, lo, hi in zip(sizes, edges, edges[1:]):
             shape[lo:hi] = _order_cdf(g).searchsorted(u[lo:hi], side="right") + 0.5
         x = rng.standard_gamma(shape)
     return np.divide(scale, x, out=x)
 
 
-def _grouped_rejection(group, sizes, scale, neg_half_tilt2, rng):
-    """One tilted g-sum per entry, g = `group` sorted, `sizes` its distinct
-    values > 1, scale g^2 delta^2/2.
+def _grouped_rejection(sizes, counts, scale, neg_half_tilt2, rng):
+    """One tilted g-sum per entry, scale g^2 delta^2/2: the entries come in
+    blocks of counts[i] g-sums of g = sizes[i], ascending.
 
     A proposal (`_group_proposals`) is kept with probability
     exp(-tilt^2 x/2). The first pass makes one proposal per entry, each
     later pass `_RETRY_PROPOSALS` per pending entry, keeping the first
     accepted.
     """
-    out = _group_proposals(group, sizes, scale, rng)
+    groups, starts, end = [], [], 0  # the blocks of g > 1
+    for g, n in zip(sizes.tolist(), counts.tolist()):
+        if g > 1 and n:
+            groups.append(g)
+            starts.append(end)
+        end += n
+    out = _group_proposals(groups, starts + [end], scale, rng)
     accept = neg_half_tilt2 * out
     np.exp(accept, out=accept)
-    todo = (rng.random(group.size) > accept).nonzero()[0]
+    todo = (rng.random(end) > accept).nonzero()[0]
     passes = 1
     while todo.size:
         if passes == MAX_REJECTION_PASSES:
+            group = sizes.repeat(counts)[todo]
             raise rejection_cap_error(
-                "P-IG grouped tilt rejection", todo.size, group=group[todo],
-                chi=np.sqrt(2.0 * scale[todo]) / group[todo],
+                "P-IG grouped tilt rejection", todo.size, group=group,
+                chi=np.sqrt(2.0 * scale[todo]) / group,
                 tilt=np.sqrt(-2.0 * neg_half_tilt2[todo]))
         rep = todo.repeat(_RETRY_PROPOSALS)
-        x = _group_proposals(group[rep], sizes, scale[rep], rng)
-        keep = (rng.random(rep.size) <= np.exp(neg_half_tilt2[rep] * x)).reshape(
-            -1, _RETRY_PROPOSALS)
-        first = keep.argmax(axis=1)  # the first accepted proposal of each entry
-        pick = np.arange(todo.size), first
-        hit = keep[pick]
-        out[todo[hit]] = x.reshape(-1, _RETRY_PROPOSALS)[pick][hit]
+        edges = rep.searchsorted(starts).tolist() + [rep.size] if groups else []
+        x = _group_proposals(groups, edges, scale[rep], rng)
+        accept = neg_half_tilt2[rep]
+        accept *= x
+        keep = rng.random(rep.size) <= np.exp(accept, out=accept)
+        # the first accepted proposal of each entry (its first if none is)
+        first = keep.reshape(-1, _RETRY_PROPOSALS).argmax(axis=1)
+        first += np.arange(0, rep.size, _RETRY_PROPOSALS)
+        hit = keep[first]
+        out[todo[hit]] = x[first[hit]]
         todo = todo[~hit]
         passes += 1
     return out
 
 
+def _entry_groups(deltas, tilts, copies, keep, limit):
+    """Row, sizes, groups per size, scale g^2 delta^2/2 and -tilt^2/2 of the
+    groups of the entries in `keep`, in (size, row, term) order, each term
+    sized at its largest omega <= the split (working arrays die on return)."""
+    rows = tilts.size
+    # a term with no tilt within `limit` reads the largest: single copies
+    top = np.sort(tilts)
+    top = top[top.searchsorted(limit, side="right") - 1] * deltas
+    sizes, bound, table, low, half_square = _group_table(copies)
+    col = bound.searchsorted(np.log1p(top) - top, side="right")
+    lo, hi = low[col.min()], col.max() + 1  # sizes in use; low rises with c
+    count = table[lo:hi].take(col, axis=1)[:, None, :] * keep  # (size, row, term)
+    per = count.sum(axis=2).ravel()
+    scale = np.repeat(np.multiply.outer(half_square[lo:hi], deltas**2), rows, axis=0)
+    row = (np.arange(per.size) % rows).repeat(per)
+    return (row, sizes[lo:hi], per.reshape(-1, rows).sum(axis=1),
+            scale.ravel().repeat(count.ravel()), (-0.5 * tilts**2)[row])
+
+
 def _grouped_sums(deltas, tilts, copies, rng):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt. Entries with omega = delta_k * tilt_i > `_OMEGA_SPLIT` stay
-    single, drawn by `gig_rvs` last. Every other cell is one group, in cell
-    order and with no group table, when `copies` = 1 or when the largest
-    omega takes one whole group under the rule of `_group_sizes` (then every
-    cell does, and none is above the split); else it takes those groups."""
-    rows, kt = tilts.size, deltas.size
-    half_chi2, neg_half_tilt2 = deltas**2 / 2.0, -0.5 * tilts**2
-    single = tilts[:, None] * deltas > _OMEGA_SPLIT
-    top = tilts.max() * deltas.max()
-    whole = copies <= _MAX_WHOLE_GROUP and copies * (top - np.log1p(top)) <= _LOG2
-    if copies == 1 or whole:
-        keep = ~single
-        count = keep.sum(axis=1)
-        row, neg = np.arange(rows).repeat(count), neg_half_tilt2.repeat(count)
-        scale = np.broadcast_to(half_chi2 * (copies * copies), keep.shape)[keep]
-        group, sizes = np.broadcast_to(copies, row.shape), [copies]
-    else:
-        size = _group_sizes((tilts[:, None] * deltas).ravel(), copies)
-        size[single.ravel()] = 0
-        cell, group, sizes = _group_entries(size, copies)
-        row, term = np.divmod(cell, kt)
-        scale, neg = half_chi2[term] * (group * group), neg_half_tilt2[row]
-    vals = _grouped_rejection(group, sizes, scale, neg, rng)
-    if single.any():
-        one_row, one_term = (i.repeat(copies) for i in single.nonzero())
-        row = np.concatenate((row, one_row))
-        vals = np.concatenate((vals, gig_rvs(deltas[one_term], tilts[one_row], rng)))
-    return np.bincount(row, vals, minlength=rows)
+    per tilt: grouped draws (`_entry_groups`), then single `gig_rvs` draws
+    where omega = delta_k * tilt_i > `_OMEGA_SPLIT`, summed in draw order."""
+    limit = _OMEGA_SPLIT / deltas
+    keep = tilts[:, None] <= limit  # omega <= the split, as tilt <= split / delta
+    row, *groups = _entry_groups(deltas, tilts, copies, keep, limit)
+    # bincount returns integers when there is no group at all
+    out = np.bincount(row, _grouped_rejection(*groups, rng),
+                      minlength=tilts.size).astype(float, copy=False)
+    if not keep.all():
+        one_row, one_term = np.divmod(np.flatnonzero(~keep).repeat(copies), deltas.size)
+        np.add.at(out, one_row, gig_rvs(deltas[one_term], tilts[one_row], rng))
+    return out
 
 
 def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
@@ -334,9 +330,9 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     tilts = np.abs(np.asarray(tilts, dtype=float))
     if not np.isfinite(tilts).all():
         raise ValueError("tilts must be finite")
+    if not (isinstance(copies, (int, np.integer)) and copies >= 1):
+        raise ValueError("copies must be an integer >= 1")
     copies = int(copies)
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
     kt = config.trunc_terms
     deltas = 1.0 / (_SQRT2 * params.d_values(kt))
     flat = tilts.ravel()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -412,37 +414,73 @@ class TestGroupedSums:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
-    def test_group_sizes(self):
-        omega = np.array([0.0, 0.01, 0.2, 0.5, 1.0, 1.5, 2.0])
-        loss = omega - np.log1p(omega)
-        for copies in (2, 3, 6, 36, 61, 201, 256, 257, 1000):
-            g = pig._group_sizes(omega, copies)
-            whole = (copies <= pig._MAX_WHOLE_GROUP) & (copies * loss <= np.log(2.0))
-            assert np.all(g[whole] == copies)
-            g, part = g[~whole], loss[~whole]
-            assert np.all(g <= min(copies, 32)) and np.all((g & (g - 1)) == 0)
-            assert np.all((g == 1) | (g * part <= np.log(2.0)))
-            bigger = 2 * g
-            assert np.all((bigger > min(copies, 32)) | (bigger * part > np.log(2.0)))
+    @staticmethod
+    def recorded_groups(deltas, tilts, copies, monkeypatch):
+        """Size, row and term of every group that `_grouped_sums` hands to
+        the rejection, in its order (tilts and deltas distinct)."""
+        seen = []
 
-    def test_whole_group_cells_skip_the_entry_table(self):
-        # every cell one whole group (the per-category chain's case): the
-        # lean entries give the values and stream of the general ones
-        copies, deltas = 6, _ladder_deltas(PigParams.integer(), 60)
-        tilts = np.array([0.0, 0.3, 0.7])
-        size = pig._group_sizes(np.ravel(tilts[:, None] * deltas), copies)
-        assert np.all(size == copies)
-        rng_lean, rng_general = make_rng(14), make_rng(14)
-        lean = pig._grouped_sums(deltas, tilts, copies, rng_lean)
-        cell, group, sizes = pig._group_entries(size, copies)
-        assert np.array_equal(cell, np.arange(size.size))
-        assert sizes == [copies]
-        scale = (deltas**2 / 2.0)[cell % 60] * (group * group)
-        vals = pig._grouped_rejection(group, sizes, scale,
-                                      -0.5 * tilts[cell // 60] ** 2, rng_general)
-        general = np.bincount(cell // 60, weights=vals, minlength=tilts.size)
-        assert np.array_equal(lean, general)
-        assert rng_lean.random() == rng_general.random()
+        def record(sizes, counts, scale, neg_half_tilt2, rng):
+            seen.append((sizes.repeat(counts), scale, neg_half_tilt2))
+            return np.ones(scale.size)
+
+        monkeypatch.setattr(pig, "_grouped_rejection", record)
+        pig._grouped_sums(deltas, tilts, copies, make_rng(0))
+        (group, scale, neg), = seen
+        row = np.abs(neg[:, None] + 0.5 * tilts**2).argmin(axis=1)
+        half_chi2 = 2.0 * scale / group**2
+        term = np.abs(half_chi2[:, None] - deltas**2).argmin(axis=1)
+        assert np.allclose(half_chi2, deltas[term] ** 2, rtol=1e-12, atol=0.0)
+        return group, row, term
+
+    def test_group_sizes(self, monkeypatch):
+        deltas = _ladder_deltas(PigParams.integer(), 200)
+        for tilts, copies in itertools.product(
+                (SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5]),
+                 np.array([0.0, 0.3, 2.8, 27.0])),
+                (1, 2, 3, 6, 36, 61, 201, 256, 257, 1000)):
+            omega = tilts[:, None] * deltas
+            group, row, term = self.recorded_groups(deltas, tilts, copies, monkeypatch)
+            # (size, row, term) order
+            assert np.array_equal(np.lexsort((term, row, group)), np.arange(group.size))
+            # each cell with omega <= 2 splits its copies into groups, the
+            # others are single draws
+            total = np.zeros(omega.shape, dtype=int)
+            np.add.at(total, (row, term), group)
+            assert np.all(total == np.where(omega <= _OMEGA_SPLIT, copies, 0))
+            # every group of more than one copy accepts at least half its
+            # proposals at its own row's omega: ((1+w) e^-w)^g >= 1/2
+            w, g = omega[row, term], group
+            loss = g * (w - np.log1p(w))
+            assert np.all((g == 1) | (loss <= np.log(2.0) * (1 + 1e-12)))
+            if copies in (6, 36) and tilts.size == 6:
+                # the per-category case mixes whole groups with power-of-two ones
+                assert np.any(g == copies) and np.any((g > 1) & (g < copies))
+                assert np.any(omega > _OMEGA_SPLIT)
+
+    @pytest.mark.parametrize("copies", (6, 36))
+    def test_distinct_row_tilts(self, copies, monkeypatch):
+        # each term's groups are sized at the largest omega <= 2 among the
+        # rows, so a row with a smaller tilt draws groups sized for a larger
+        # one: each row's law is still that of `copies` summed single draws
+        deltas = _ladder_deltas(PigParams.integer(), 40)
+        pattern = SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5])
+        # whole groups, power-of-two groups and omega > 2 terms all occur
+        group, _, _ = self.recorded_groups(deltas, pattern, copies, monkeypatch)
+        assert np.any(group == copies) and np.any((group > 1) & (group < copies))
+        assert np.any(pattern[:, None] * deltas > _OMEGA_SPLIT)
+        monkeypatch.undo()
+        rows = np.tile(pattern, 600)
+        got = pig._grouped_sums(deltas, rows, copies, make_rng(33))
+        want = _gig_rvs_row_sums(deltas, rows.repeat(copies), make_rng(34))
+        want = want.reshape(-1, copies).sum(axis=1)
+        for tilt in pattern:
+            mean = copies * np.sum(deltas**2 / (1.0 + tilt * deltas))
+            for s in (0.3, 1.0, 3.0):
+                t = np.sqrt(s / mean)
+                (a, se_a), (b, se_b) = (mc_transform(v[rows == tilt], t)
+                                        for v in (got, want))
+                assert abs(a - b) <= 4 * np.hypot(se_a, se_b)
 
     @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
     def test_transform_matches_product_power(self, copies, tilt):
@@ -483,8 +521,9 @@ class TestGroupedSums:
         assert a.shape == tilts.shape and np.all(a > 0.0)
         assert np.array_equal(a, pig_sample_with_tilts(params, tilts, cfg,
                                                        make_rng(4), copies=copies))
-        with pytest.raises(ValueError, match="copies"):
-            pig_sample_with_tilts(params, tilts, cfg, make_rng(4), copies=0)
+        for bad in (0, 2.5, 6.0):
+            with pytest.raises(ValueError, match="copies"):
+                pig_sample_with_tilts(params, tilts, cfg, make_rng(4), copies=bad)
 
 
 @given(st.floats(min_value=0.0, max_value=6.0),
