@@ -70,6 +70,11 @@ _POW2 = 2 ** np.arange(_MAX_LEVEL + 1)
 _ORDER_CDFS = {}
 
 
+def _check_count(value, name):
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class PigParams:
     """Affine ladder d_k = shift + k - 1 plus the tilt c (used via |c|).
@@ -99,8 +104,7 @@ class PigParams:
         return abs(self.c)
 
     def d_values(self, terms):
-        if terms < 1:
-            raise ValueError("terms must be >= 1")
+        _check_count(terms, "terms")
         return self.shift + np.arange(terms, dtype=float)
 
 
@@ -115,14 +119,11 @@ class PigSamplerConfig:
     trunc_terms: int = 200
 
     def __post_init__(self):
-        if self.trunc_terms < 1:
-            raise ValueError("trunc_terms must be >= 1")
+        _check_count(self.trunc_terms, "trunc_terms")
 
 
 def pig_laplace_product(params, t, terms):
     """Truncated-product evaluation of E[exp(-w t^2)], in log space."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
     d = params.d_values(terms)
     v = params.tilt / _SQRT2
     u = np.hypot(t, v)
@@ -330,8 +331,7 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     tilts = np.abs(np.asarray(tilts, dtype=float))
     if not np.isfinite(tilts).all():
         raise ValueError("tilts must be finite")
-    if not (isinstance(copies, (int, np.integer)) and copies >= 1):
-        raise ValueError("copies must be an integer >= 1")
+    _check_count(copies, "copies")
     copies = int(copies)
     kt = config.trunc_terms
     deltas = 1.0 / (_SQRT2 * params.d_values(kt))

@@ -143,7 +143,8 @@ def truncated_normal_sample(mean, variance, lower, rng, size=None):
     however deep the tail).
     """
     if isinstance(variance, np.ndarray):
-        valid = np.all(np.isfinite(variance) & (variance > 0))
+        ok = np.isfinite(variance) & (variance > 0)
+        valid = np.count_nonzero(ok) == ok.size
     else:
         valid = np.isfinite(variance) and variance > 0
     if not valid:
@@ -160,12 +161,17 @@ def truncated_normal_sample(mean, variance, lower, rng, size=None):
         return float(out[0]) if size is None else out
     if size is not None:
         raise ValueError("size needs scalar mean, variance and lower")
-    z = np.empty(a.shape)
     tail = a > _TN_TAIL_CUTOFF
-    mild = ~tail
-    z[mild] = _tn_inverse_cdf(a[mild], rng, int(mild.sum()))
-    if tail.any():
-        z[tail] = _tn_tail_rejection(a[tail], rng, int(tail.sum()))
+    n_tail = np.count_nonzero(tail)
+    if n_tail == 0:
+        z = _tn_inverse_cdf(a.ravel(), rng, a.size).reshape(a.shape)
+    elif n_tail == a.size:
+        z = _tn_tail_rejection(a.ravel(), rng, a.size).reshape(a.shape)
+    else:
+        z = np.empty(a.shape)
+        mild = ~tail
+        z[mild] = _tn_inverse_cdf(a[mild], rng, a.size - n_tail)
+        z[tail] = _tn_tail_rejection(a[tail], rng, n_tail)
     return mean + sd * z
 
 

@@ -1,23 +1,28 @@
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from polyaig.chain import ChainConfig, PosteriorSamples
-from polyaig.dirichlet import (_GRID_FLOOR, _GRID_POINTS, AlphaPrior, CountMatrix,
-                               DirichletChainState, _homogeneous_log_post,
-                               alpha_coefficients, gibbs_sweep, grid_cdf,
+from polyaig.dirichlet import (_GRID_FLOOR, _GRID_POINTS, _HAT_JOIN_SDS, AlphaPrior,
+                               CountMatrix, DirichletChainState,
+                               _homogeneous_log_post, alpha_coefficients, alpha_hat,
+                               gibbs_sweep, grid_cdf,
                                grid_mean_sd, homogeneous_posterior_grid,
-                               initial_state, normalize_on_grid, posterior_grid,
+                               initial_state, modified_half_normal_sample,
+                               normalize_on_grid, posterior_grid,
                                posterior_predictive, quadrature_posterior,
                                quadrature_posterior_k2, run_chain,
                                run_chain_homogeneous, update_eta,
                                update_p, update_w)
 from polyaig.io import parse_counts_csv
 from polyaig.pig import PigParams, PigSamplerConfig, _tail_mean_ladder
-from polyaig.rng import make_rng
+from polyaig.rng import MAX_REJECTION_PASSES, make_rng
 from polyaig.special import EULER_GAMMA, log_gamma
-from polyaig.summarize import batch_means_mcse
+from polyaig.summarize import batch_means_mcse, effective_sample_size
 from quad_oracle import quad_mean
+from test_rng import StuckGenerator
 
 FAST_PIG = PigSamplerConfig(trunc_terms=200)
 
@@ -297,6 +302,108 @@ class TestAlphaCoefficients:
         eta = np.array([1.3, 0.4])
         a, b = alpha_coefficients(w, log_p, eta, AlphaPrior(tau=2.0))
         assert a[0] == a[1] and b[0] == b[1]
+
+
+def _alpha_log_density(power, a, b):
+    """log of the alpha conditional x^power exp(-a x^2 + b x), unnormalized."""
+    return lambda x: power * np.log(x) + x * (b - a * x)
+
+
+class TestAlphaKernel:
+    """`modified_half_normal_sample` against quadrature of its target, and
+    the hat it draws from against its definition."""
+
+    @pytest.mark.parametrize("power, a, b", [
+        (1, 1.0, -1000.0), (1, 0.05, -1e4), (6, 14.0, 3.0), (36, 40.0, -8.0),
+        (1000, 500.0, -50.0), (6, 0.5, 20.0)])
+    def test_draws_match_quadrature(self, power, a, b):
+        log_f = _alpha_log_density(power, a, b)
+        coarse = posterior_grid(log_f)
+        grid = np.geomspace(coarse[0], coarse[-1], 16 * (coarse.size - 1) + 1)
+        cdf = grid_cdf(grid, normalize_on_grid(grid, log_f(grid)))
+        x = modified_half_normal_sample(power, np.full(20_000, a), np.full(20_000, b),
+                                        make_rng(3))
+        assert np.all(x > 0.0)
+        assert stats.kstest(x, lambda v: np.interp(v, grid, cdf)).pvalue > 1e-3
+
+    def test_hat_covers_the_density_and_accepts_at_least_half(self):
+        """Over power 1-20000, a 0.05-5e4 and mode 1e-4-30 the hat lies above
+        the density, its body probability is the body's share of its mass,
+        and the density's mass is at least half the hat's (all in units of
+        the mode, by quadrature)."""
+        worst = 1.0
+        for power in (1, 2, 6, 36, 1000, 20_000):
+            rho = 1.0 + _HAT_JOIN_SDS / np.sqrt(power)
+            for a in np.geomspace(0.05, 5e4, 7):
+                for mode in np.geomspace(1e-4, 30.0, 7):
+                    b = 2.0 * a * mode - power / mode
+                    m, p_body, table = alpha_hat(power, np.array([a]), np.array([b]))
+                    assert m[0] == pytest.approx(mode, rel=1e-9)
+                    g = 2.0 * a * mode * mode
+                    body_prec = g + power / rho**2
+                    slope = power * (1.0 / rho - 1.0) - g * (rho - 1.0)
+
+                    def log_f(y):
+                        return power * (np.log(y) - y + 1.0) - 0.5 * g * (y - 1.0) ** 2
+
+                    def log_body(y):
+                        return -0.5 * body_prec * (y - 1.0) ** 2
+
+                    def log_tail(y):
+                        d = y - rho
+                        return log_f(rho) + slope * d - 0.5 * g * d * d
+
+                    assert np.allclose(table[:4].ravel(), [
+                        1.0, rho + slope / g, 1.0 / body_prec, 1.0 / g, 0.0, rho,
+                        rho, np.inf], rtol=1e-12)
+                    reach = 60.0 / (abs(slope) + np.sqrt(g))
+                    y = np.concatenate([np.linspace(1e-6, rho, 400),
+                                        rho + np.geomspace(1e-9, 1.0, 400) * reach])
+                    hat = np.where(y <= rho, log_body(y), log_tail(y))
+                    assert np.all(log_f(y) <= hat + 1e-9 * np.maximum(1.0, -hat))
+                    # the kernel's acceptance test, log(f/hat) from k2, k1, k0
+                    k2, k1, k0 = table[4:, np.where(y <= rho, 0, 1)]
+                    log_ratio = power * (np.log(y) + y * (k2 * y - k1) + k0)
+                    assert np.all(np.abs(log_ratio - (log_f(y) - hat))
+                                  <= 1e-9 * np.maximum(1.0, -hat))
+
+                    def mass(log_h, lo, hi):
+                        return quad(lambda v: np.exp(log_h(v)), lo, hi, limit=200)[0]
+
+                    # left of rho both peak at 1 with curvature at least
+                    # power/rho^2 + g, so 40 body sd each side hold their mass
+                    body_sd = 1.0 / np.sqrt(body_prec)
+                    lo, hi = max(0.0, 1.0 - 40.0 * body_sd), 1.0 + 40.0 * body_sd
+                    body_mass = mass(log_body, lo, 1.0) + mass(log_body, 1.0, hi)
+                    tail_mass = mass(log_tail, rho, rho + reach)
+                    f_mass = (mass(log_f, lo, 1.0) + mass(log_f, 1.0, min(hi, rho))
+                              + mass(log_f, rho, rho + reach))
+                    total = body_mass + tail_mass
+                    assert p_body[0, 0] == pytest.approx(body_mass / total, rel=1e-6)
+                    worst = min(worst, f_mass / total)
+        assert worst >= 0.5
+
+    def test_pass_cap_names_the_parameters(self):
+        # every uniform is 1.0: the tail piece is always picked, its draw
+        # lands on the join, where the hat touches the density, and the
+        # strict acceptance test refuses it
+        with pytest.raises(ValueError, match=(
+                f"2 draw\\(s\\) still rejected after {MAX_REJECTION_PASSES} passes")) as err:
+            modified_half_normal_sample(6, np.array([14.0, 14.0]), np.array([3.0, 2.0]),
+                                        StuckGenerator(9))
+        assert "modified-half-normal rejection" in str(err.value)
+        assert "(M' 6, a 14, b 2 to 3)" in str(err.value)
+
+    def test_snapshot_chains_mix(self):
+        """Minimum ESS per kept sweep on the snapshot (3000 sweeps, 500
+        burn-in); the slice-variable update reached about 0.08 and 0.01."""
+        counts = parse_counts_csv("data/opioid_deaths.csv", id_cols=2)
+        prior = AlphaPrior.for_categories(counts.n_categories)
+        cfg = ChainConfig(iterations=3000, burn_in=500, thin=1, seed=1)
+        for run, floor in ((run_chain, 0.4), (run_chain_homogeneous, 0.2)):
+            draws = run(counts, prior, cfg).draws
+            ess = min(effective_sample_size(draws[:, j]) for j in range(draws.shape[1]))
+            assert ess / cfg.retained >= floor, run.__name__
 
 
 class TestSweepAndChain:

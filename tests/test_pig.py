@@ -50,6 +50,16 @@ class TestParams:
         with pytest.raises(ValueError):
             PigSamplerConfig(trunc_terms=0)
 
+    @pytest.mark.parametrize("bad", (2.5, 3.0, "200"))
+    def test_non_integer_trunc_terms_refused(self, bad):
+        with pytest.raises(ValueError, match="trunc_terms must be an integer"):
+            PigSamplerConfig(trunc_terms=bad)
+
+    @pytest.mark.parametrize("bad", (2.5, 3.0))
+    def test_non_integer_terms_refused(self, bad):
+        with pytest.raises(ValueError, match="terms must be an integer"):
+            PigParams.integer().d_values(bad)
+
 
 class TestLaplaceProduct:
     def test_unit_at_zero(self):

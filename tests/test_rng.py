@@ -6,8 +6,9 @@ from scipy import stats
 
 from bessel_oracle import log_bessel_k
 from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
-from polyaig.rng import (MAX_REJECTION_PASSES, child_rng, dirichlet_log_sample,
-                         gig_rvs, make_rng, truncated_normal_sample)
+from polyaig.rng import (_TN_TAIL_CUTOFF, MAX_REJECTION_PASSES, _tn_inverse_cdf,
+                         _tn_tail_rejection, child_rng, dirichlet_log_sample, gig_rvs,
+                         make_rng, truncated_normal_sample)
 
 
 def mcse(x):
@@ -123,6 +124,33 @@ class TestTruncatedNormal:
         batch = truncated_normal_sample(1.0, 2.0, np.full(50, lower), rng_a)
         sized = truncated_normal_sample(1.0, 2.0, lower, rng_b, size=50)
         assert np.array_equal(batch, sized)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("cut", (
+        [[-1.0, 0.5, 3.9], [2.0, -3.0, 3.5]],   # all inverse CDF
+        [[4.5, 6.0, 9.0], [5.0, 12.0, 4.1]],    # all tail rejection
+        [[-1.0, 6.0, 0.5], [5.0, 2.0, 9.0]],    # mixed
+    ))
+    def test_array_path_matches_masked_draw(self, cut):
+        """The array path draws what a mask over the cutoffs draws: the
+        inverse-CDF entries first, then the tail entries, each in index
+        order, leaving the generator at the same state."""
+        def masked(mean, variance, lower, rng):
+            sd = np.sqrt(variance)
+            a = (lower - mean) / sd
+            z = np.empty(a.shape)
+            tail = a > _TN_TAIL_CUTOFF
+            z[~tail] = _tn_inverse_cdf(a[~tail], rng, int((~tail).sum()))
+            if tail.any():
+                z[tail] = _tn_tail_rejection(a[tail], rng, int(tail.sum()))
+            return mean + sd * z
+
+        mean = np.array([[0.5], [-1.0]])
+        variance = np.full((2, 3), 2.0)
+        lower = mean + np.sqrt(2.0) * np.array(cut)
+        rng_a, rng_b = make_rng(25), make_rng(25)
+        drawn = truncated_normal_sample(mean, variance, lower, rng_a)
+        assert np.array_equal(drawn, masked(mean, variance, lower, rng_b))
         assert rng_a.random() == rng_b.random()
 
     def test_domain(self):
