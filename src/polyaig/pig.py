@@ -36,12 +36,22 @@ at least half its proposals; the sizes set only the cost, as each group is
 an exact draw at its own row's tilt. A single copy's group is the
 InvGamma(3/2, beta_k) proposal itself (nu = 1, no order to draw). Terms
 with omega > 2 are single `gig_rvs` draws, with no rejection loop.
+
+The order nu of a g-sum is drawn by inverse CDF from a guide table (Chen &
+Asau, "On generating random variates from an empirical distribution",
+1974): for each of 2**12 equal buckets of the uniform, the first cdf index
+above the bucket's lower end, from which a walk forward stops at the first
+cdf above u, as `searchsorted` would. The tables of all sizes of a copy
+count are stacked, so one gather serves every size. The constants of a
+(ladder, copies) pair - the deltas, the omega-split limits, the (size x
+term) table of scales g^2 delta_k^2/2 - are computed once and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as _sp
@@ -65,6 +75,10 @@ _MAX_LEVEL = 5
 _RETRY_PROPOSALS = 4
 _LOG2 = np.log(2.0)
 _POW2 = 2 ** np.arange(_MAX_LEVEL + 1)
+
+# Buckets of the uniform per group size in the order draw's guide table: a
+# power of two, so u * _GUIDE and the bucket ends j / _GUIDE are exact.
+_GUIDE = 2**12
 
 # g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
 _ORDER_CDFS = {}
@@ -150,22 +164,26 @@ def pig_laplace_closed(params, t):
     return float(np.exp(_log_g(u, a) - _log_g(v, a)))
 
 
+# psi(shift + K), computed once per ladder
+_psi = lru_cache(maxsize=16)(_sp.psi)
+
+
 def _tail_mean_ladder(shift, trunc_terms, tilts):
     """Exact tail mean sum_{k>K} 1/(2 d_k (d_k + v)) for affine ladders.
 
     Telescopes to (psi(a + K + v) - psi(a + K)) / (2 v), with the
     polygamma limit at v = 0.
     """
-    tilts = np.asarray(tilts, dtype=float)
-    v = tilts / _SQRT2
+    v = np.asarray(tilts, dtype=float) / _SQRT2
     start = shift + trunc_terms
+    if v.all():
+        return (_sp.psi(start + v) - _psi(start)) / (2.0 * v)
     out = np.empty(v.shape)
     zero = v == 0.0
-    if zero.any():
-        out[zero] = 0.5 * _sp.polygamma(1, start)
+    out[zero] = 0.5 * _sp.polygamma(1, start)
     if (~zero).any():
         vv = v[~zero]
-        out[~zero] = (_sp.psi(start + vv) - _sp.psi(start)) / (2.0 * vv)
+        out[~zero] = (_sp.psi(start + vv) - _psi(start)) / (2.0 * vv)
     return out
 
 
@@ -207,69 +225,97 @@ def _order_cdf(g):
     return cdf
 
 
-@lru_cache(maxsize=None)
+class _Groups(NamedTuple):
+    """Group sizes of one copy count and their stacked order tables."""
+
+    sizes: np.ndarray  # 1, 2, 4, ... 2**_MAX_LEVEL below copies, then copies
+    bound: np.ndarray  # -log 2 / g for g = sizes[1:]
+    table: np.ndarray  # (size, column): groups of each size
+    low: np.ndarray  # smallest size index of each column
+    half_square: np.ndarray  # g^2 / 2
+    guide: np.ndarray  # per size, per bucket j: first position with cdf > j / _GUIDE
+    cdf: np.ndarray  # each size's P(nu <= j), j = 0..g, then +inf
+    order: np.ndarray  # nu + 1/2 at each position of `cdf`
+
+
+@lru_cache(maxsize=16)  # a guide table of up to 7 sizes is 230 KB
 def _group_table(copies):
     """Group sizes for `copies` copies (powers of two below copies, up to
-    2**_MAX_LEVEL, then copies up to `_MAX_WHOLE_GROUP`) and their g^2/2. A
-    term at omega takes size c = `bound.searchsorted(log1p(omega) - omega,
-    side="right")`, the largest g with g (omega - log1p omega) <= log 2, or
-    g = 1, and `table[:, c]` groups of each size: copies // g of g and one
-    per binary digit of copies % g; `low[c]` is the smallest of them."""
+    2**_MAX_LEVEL, then copies up to `_MAX_WHOLE_GROUP`) and their order
+    tables. A term at omega takes column c = `bound.searchsorted(log1p(omega)
+    - omega, side="right")`, the largest g with g (omega - log1p omega) <=
+    log 2, or g = 1, and `table[:, c]` groups of each size: copies // g of g
+    and one per binary digit of copies % g; `low[c]` is the smallest of
+    them. The order of a g-sum is the first j with P(nu <= j) > u, found by
+    `_order_shapes` from the guide row of its size."""
     sizes = _POW2[_POW2 < copies]
     if copies <= _MAX_WHOLE_GROUP:
         sizes = np.append(sizes, copies)
     digit = np.arange(sizes.size)
     table = np.diag(copies // sizes) + np.triu(copies % sizes >> digit[:, None] & 1, 1)
-    low = (table > 0).argmax(axis=0)
-    sizes.flags.writeable = table.flags.writeable = low.flags.writeable = False
-    return sizes, -_LOG2 / sizes[1:], table, low, sizes * sizes / 2.0
+    cdfs = [np.append(_order_cdf(g), np.inf) for g in sizes.tolist()]
+    first = np.cumsum([0] + [c.size for c in cdfs[:-1]])
+    buckets = np.arange(_GUIDE + 1) / _GUIDE
+    guide = np.concatenate([f + c.searchsorted(buckets, side="right")
+                            for f, c in zip(first.tolist(), cdfs)])
+    groups = _Groups(sizes, -_LOG2 / sizes[1:], table, (table > 0).argmax(axis=0),
+                     sizes * sizes / 2.0, guide, np.concatenate(cdfs),
+                     np.concatenate([np.arange(c.size) + 0.5 for c in cdfs]))
+    for a in groups:
+        a.flags.writeable = False
+    return groups
 
 
-def _group_proposals(sizes, edges, scale, rng):
+def _order_shapes(u, guide_at, groups):
+    """nu + 1/2 for uniforms u of g-sums whose size's guide row starts at
+    `guide_at`: equal to `_order_cdf(g).searchsorted(u, side="right") + 0.5`.
+    The guide gives the first position whose cdf exceeds the lower end of
+    u's bucket, so the walk forward stops at the first cdf above u."""
+    at = groups.guide[(u * _GUIDE).astype(np.intp) + guide_at]
+    walk = (groups.cdf[at] <= u).nonzero()[0]
+    while walk.size:
+        at[walk] += 1
+        walk = walk[groups.cdf[at[walk]] <= u[walk]]
+    return groups.order[at]
+
+
+def _group_proposals(guide_at, scale, groups, rng):
     """One untilted g-sum proposal per entry, x = scale / Gamma(nu + 1/2),
-    nu from the g-fold weights: edges[i]:edges[i + 1] have g = sizes[i] > 1,
-    the others g = 1 (nu = 1); with no `sizes`, no order uniform is drawn."""
-    if not sizes:
+    nu from the g-fold weights of the size at `guide_at`; with no
+    `guide_at` (every g = 1, so nu = 1), no order uniform is drawn."""
+    if guide_at is None:
         x = rng.standard_gamma(1.5, size=scale.size)
     else:
-        u = rng.random(scale.size)  # single copies leave theirs unused
-        shape = np.full(scale.size, 1.5)
-        for g, lo, hi in zip(sizes, edges, edges[1:]):
-            shape[lo:hi] = _order_cdf(g).searchsorted(u[lo:hi], side="right") + 0.5
-        x = rng.standard_gamma(shape)
+        u = rng.random(scale.size)
+        x = rng.standard_gamma(_order_shapes(u, guide_at, groups))
     return np.divide(scale, x, out=x)
 
 
-def _grouped_rejection(sizes, counts, scale, neg_half_tilt2, rng):
-    """One tilted g-sum per entry, scale g^2 delta^2/2: the entries come in
-    blocks of counts[i] g-sums of g = sizes[i], ascending.
+def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
+    """One tilted g-sum per entry, scale g^2 delta^2/2, of the size whose
+    guide row starts at `guide_at` (none: every g = 1).
 
     A proposal (`_group_proposals`) is kept with probability
     exp(-tilt^2 x/2). The first pass makes one proposal per entry, each
     later pass `_RETRY_PROPOSALS` per pending entry, keeping the first
     accepted.
     """
-    groups, starts, end = [], [], 0  # the blocks of g > 1
-    for g, n in zip(sizes.tolist(), counts.tolist()):
-        if g > 1 and n:
-            groups.append(g)
-            starts.append(end)
-        end += n
-    out = _group_proposals(groups, starts + [end], scale, rng)
+    out = _group_proposals(guide_at, scale, groups, rng)
     accept = neg_half_tilt2 * out
     np.exp(accept, out=accept)
-    todo = (rng.random(end) > accept).nonzero()[0]
+    todo = (rng.random(out.size) > accept).nonzero()[0]
     passes = 1
     while todo.size:
         if passes == MAX_REJECTION_PASSES:
-            group = sizes.repeat(counts)[todo]
+            group = (1 if guide_at is None
+                     else groups.sizes[guide_at[todo] // (_GUIDE + 1)])
             raise rejection_cap_error(
                 "P-IG grouped tilt rejection", todo.size, group=group,
                 chi=np.sqrt(2.0 * scale[todo]) / group,
                 tilt=np.sqrt(-2.0 * neg_half_tilt2[todo]))
         rep = todo.repeat(_RETRY_PROPOSALS)
-        edges = rep.searchsorted(starts).tolist() + [rep.size] if groups else []
-        x = _group_proposals(groups, edges, scale[rep], rng)
+        x = _group_proposals(None if guide_at is None else guide_at[rep],
+                             scale[rep], groups, rng)
         accept = neg_half_tilt2[rep]
         accept *= x
         keep = rng.random(rep.size) <= np.exp(accept, out=accept)
@@ -283,39 +329,62 @@ def _grouped_rejection(sizes, counts, scale, neg_half_tilt2, rng):
     return out
 
 
-def _entry_groups(deltas, tilts, copies, keep, limit):
-    """Row, sizes, groups per size, scale g^2 delta^2/2 and -tilt^2/2 of the
+def _ladder_constants(deltas, copies):
+    """What `_ladder_sums` reads of a ladder and a copy count: the deltas,
+    the omega-split limits split / delta_k, the copies, their groups and the
+    (size, term) table of scales g^2 delta_k^2 / 2."""
+    groups = _group_table(copies)
+    return (deltas, _OMEGA_SPLIT / deltas, copies, groups,
+            np.multiply.outer(groups.half_square, deltas**2))
+
+
+@lru_cache(maxsize=16)
+def _ladder(shift, trunc_terms, copies):
+    """`_ladder_constants` of the affine ladder, computed once."""
+    d = shift + np.arange(trunc_terms, dtype=float)
+    return _ladder_constants(1.0 / (_SQRT2 * d), copies)
+
+
+def _entry_groups(tilts, keep, ladder):
+    """Row, guide row (`_order_shapes`) and scale g^2 delta^2/2 of the
     groups of the entries in `keep`, in (size, row, term) order, each term
-    sized at its largest omega <= the split (working arrays die on return)."""
-    rows = tilts.size
+    sized at its largest omega <= the split; no guide row when every group
+    is one copy."""
+    deltas, limit, _, groups, scales = ladder
     # a term with no tilt within `limit` reads the largest: single copies
     top = np.sort(tilts)
     top = top[top.searchsorted(limit, side="right") - 1] * deltas
-    sizes, bound, table, low, half_square = _group_table(copies)
-    col = bound.searchsorted(np.log1p(top) - top, side="right")
-    lo, hi = low[col.min()], col.max() + 1  # sizes in use; low rises with c
-    count = table[lo:hi].take(col, axis=1)[:, None, :] * keep  # (size, row, term)
-    per = count.sum(axis=2).ravel()
-    scale = np.repeat(np.multiply.outer(half_square[lo:hi], deltas**2), rows, axis=0)
-    row = (np.arange(per.size) % rows).repeat(per)
-    return (row, sizes[lo:hi], per.reshape(-1, rows).sum(axis=1),
-            scale.ravel().repeat(count.ravel()), (-0.5 * tilts**2)[row])
+    col = groups.bound.searchsorted(np.log1p(top) - top, side="right")
+    lo, hi = groups.low[col.min()], col.max() + 1  # sizes in use; low rises with c
+    # groups of each (size, row, term)
+    count = groups.table[lo:hi].take(col, axis=1)[:, None, :] * keep
+    per = count.sum(axis=2)
+    row = (np.arange(per.size) % tilts.size).repeat(per.ravel())
+    scale = np.repeat(scales[lo:hi], tilts.size, axis=0).ravel().repeat(count.ravel())
+    guide_at = None
+    if hi > 1:  # a term sized above one copy has such a group at its top tilt
+        guide_at = (np.arange(lo, hi) * (_GUIDE + 1)).repeat(per.sum(axis=1))
+    return row, guide_at, scale
 
 
-def _grouped_sums(deltas, tilts, copies, rng):
+def _ladder_sums(ladder, tilts, rng):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
     per tilt: grouped draws (`_entry_groups`), then single `gig_rvs` draws
     where omega = delta_k * tilt_i > `_OMEGA_SPLIT`, summed in draw order."""
-    limit = _OMEGA_SPLIT / deltas
+    deltas, limit, copies, groups, _ = ladder
     keep = tilts[:, None] <= limit  # omega <= the split, as tilt <= split / delta
-    row, *groups = _entry_groups(deltas, tilts, copies, keep, limit)
-    # bincount returns integers when there is no group at all
-    out = np.bincount(row, _grouped_rejection(*groups, rng),
-                      minlength=tilts.size).astype(float, copy=False)
+    row, guide_at, scale = _entry_groups(tilts, keep, ladder)
+    draws = _grouped_rejection(guide_at, scale, (-0.5 * tilts**2)[row], groups, rng)
     if not keep.all():
         one_row, one_term = np.divmod(np.flatnonzero(~keep).repeat(copies), deltas.size)
-        np.add.at(out, one_row, gig_rvs(deltas[one_term], tilts[one_row], rng))
-    return out
+        row = np.concatenate((row, one_row))
+        draws = np.concatenate((draws, gig_rvs(deltas[one_term], tilts[one_row], rng)))
+    return np.bincount(row, draws, minlength=tilts.size)
+
+
+def _grouped_sums(deltas, tilts, copies, rng):
+    """`_ladder_sums` for any deltas, not only an affine ladder's."""
+    return _ladder_sums(_ladder_constants(deltas, copies), tilts, rng)
 
 
 def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
@@ -334,12 +403,12 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     _check_count(copies, "copies")
     copies = int(copies)
     kt = config.trunc_terms
-    deltas = 1.0 / (_SQRT2 * params.d_values(kt))
+    ladder = _ladder(params.shift, kt, copies)
     flat = tilts.ravel()
     body = np.empty(flat.size)
     step = max(1, _CHUNK_ELEMENTS // (kt * copies))
     for lo in range(0, flat.size, step):
-        body[lo:lo + step] = _grouped_sums(deltas, flat[lo:lo + step], copies, rng)
+        body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng)
     tail = _tail_mean_ladder(params.shift, kt, tilts)
     return body.reshape(tilts.shape) + copies * tail
 

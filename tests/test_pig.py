@@ -415,6 +415,20 @@ class TestGroupedSums:
         assert np.all(np.diff(cdf) >= 0.0)
         assert np.array_equal(cdf, [c / g**g for c in accumulate(weights)])
 
+    @pytest.mark.parametrize("copies", (2, 3, 6, 36, 61, 201, 256, 257, 1000))
+    def test_guide_table_matches_searchsorted(self, copies):
+        # the guide-table lookup returns searchsorted's index for uniforms
+        # at, just below and just above every cdf value, and at both ends
+        groups = pig._group_table(copies)
+        for i, g in enumerate(groups.sizes.tolist()):
+            cdf = pig._order_cdf(g)
+            u = np.concatenate((make_rng(g).random(100_000), cdf,
+                                np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+                                [0.0, 1.0 - 2.0**-53]))
+            u = u[(u >= 0.0) & (u <= 1.0)]
+            got = pig._order_shapes(u, np.full(u.size, i * (pig._GUIDE + 1)), groups)
+            assert np.array_equal(got, cdf.searchsorted(u, side="right") + 0.5)
+
     def test_import_builds_no_weight_table(self):
         import os
         import subprocess
@@ -430,8 +444,10 @@ class TestGroupedSums:
         the rejection, in its order (tilts and deltas distinct)."""
         seen = []
 
-        def record(sizes, counts, scale, neg_half_tilt2, rng):
-            seen.append((sizes.repeat(counts), scale, neg_half_tilt2))
+        def record(guide_at, scale, neg_half_tilt2, groups, rng):
+            group = (np.ones(scale.size, dtype=int) if guide_at is None
+                     else groups.sizes[guide_at // (pig._GUIDE + 1)])
+            seen.append((group, scale, neg_half_tilt2))
             return np.ones(scale.size)
 
         monkeypatch.setattr(pig, "_grouped_rejection", record)
@@ -522,6 +538,46 @@ class TestGroupedSums:
                      ((grouped - grouped.mean())**2, (single - single.mean())**2)):
             se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
             assert abs(a.mean() - b.mean()) <= 4 * se
+
+    @staticmethod
+    def searchsorted_proposals(guide_at, scale, groups, rng):
+        """The reference `pig._group_proposals`: the order drawn by one
+        `searchsorted` of each size's cdf."""
+        if guide_at is None:
+            x = rng.standard_gamma(1.5, size=scale.size)
+        else:
+            u = rng.random(scale.size)
+            size = guide_at // (pig._GUIDE + 1)
+            shape = np.full(scale.size, 1.5)
+            for i, g in enumerate(groups.sizes.tolist()):
+                at = size == i
+                if g > 1 and at.any():
+                    cdf = pig._order_cdf(g)
+                    shape[at] = cdf.searchsorted(u[at], side="right") + 0.5
+            x = rng.standard_gamma(shape)
+        return np.divide(scale, x, out=x)
+
+    @pytest.mark.parametrize("tilts, copies", [
+        (SQRT2 * np.array([[0.39, 0.44, 0.46, 0.35, 0.41, 0.27]]), 6),  # per category
+        (SQRT2 * np.array([[0.05, 0.4, 1.3, 2.0, 7.5, 0.0]]), 6),
+        (SQRT2 * np.array([[0.69]]), 36),  # shared alpha
+        *[(np.array([t]), c) for t in (1.39, 2.83, 26.4) for c in (61, 201)],
+        (np.array([0.0, 0.3, 1.39, 2.83, 26.4, 300.0]), 1),
+    ])
+    def test_outputs_match_the_searchsorted_reference(self, tilts, copies, monkeypatch):
+        # same draws and same generator state after them, pass for pass
+        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
+
+        def run():
+            rng = make_rng(copies)
+            draws = [pig_sample_with_tilts(params, tilts, cfg, rng, copies=copies)
+                     for _ in range(20)]
+            return np.array(draws), rng.bit_generator.state
+
+        got, got_state = run()
+        monkeypatch.setattr(pig, "_group_proposals", self.searchsorted_proposals)
+        want, want_state = run()
+        assert np.array_equal(got, want) and got_state == want_state
 
     @pytest.mark.parametrize("copies", (7, 40, 300))  # over 256: no whole groups
     def test_shape_determinism_and_domain(self, copies):
