@@ -45,12 +45,23 @@ cdf above u, as `searchsorted` would. The tables of all sizes of a copy
 count are stacked, so one gather serves every size. The constants of a
 (ladder, copies) pair - the deltas, the omega-split limits, the (size x
 term) table of scales g^2 delta_k^2/2 - are computed once and kept.
+
+A call's layout - each group's row, guide row and scale, each omega > 2
+single's row and delta - depends on its tilts only through each term's
+group column and which (row, term) cells have omega <= 2, and a chain's
+calls repeat a few layouts. So `pig_sample_with_tilts` keeps the 16 layouts
+last used (`_LayoutCache`) and looks each call's up by those; a layout of
+more than 8192 entries is built on every call. Which layout is found never
+changes a draw. A rejection pass after the first gives each of P pending
+groups min(4, ceil(1024 / P)) proposals (`_grouped_rejection`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from threading import Lock
 from typing import NamedTuple
 
 import numpy as np
@@ -68,11 +79,14 @@ _CHUNK_ELEMENTS = 1_000_000
 
 # Grouped sums: a term takes all its copies in one group up to
 # _MAX_WHOLE_GROUP copies (the weight table's build time grows about tenfold
-# from 256 to 512), else groups of at most 2**_MAX_LEVEL terms; a
-# still-rejected group gets _RETRY_PROPOSALS proposals on every later pass.
+# from 256 to 512), else groups of at most 2**_MAX_LEVEL terms. A retry pass
+# over P still-rejected groups gives each min(_RETRY_PROPOSALS,
+# ceil(_RETRY_BUDGET / P)) proposals: 4 each up to 341 pending, then 3, 2 and
+# from 1024 pending 1, so a pass over many groups draws few more than it needs.
 _MAX_WHOLE_GROUP = 256
 _MAX_LEVEL = 5
 _RETRY_PROPOSALS = 4
+_RETRY_BUDGET = 1024
 _LOG2 = np.log(2.0)
 _POW2 = 2 ** np.arange(_MAX_LEVEL + 1)
 
@@ -82,6 +96,12 @@ _GUIDE = 2**12
 
 # g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
 _ORDER_CDFS = {}
+
+# Layouts of grouped draws kept for reuse (`_LayoutCache`): the
+# _LAYOUT_SLOTS last used, each of at most _LAYOUT_ENTRIES entries (at most
+# 160 KB); larger calls, such as `validate`'s chunks, build theirs each time.
+_LAYOUT_SLOTS = 16
+_LAYOUT_ENTRIES = 8192
 
 
 def _check_count(value, name):
@@ -296,9 +316,12 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     guide row starts at `guide_at` (none: every g = 1).
 
     A proposal (`_group_proposals`) is kept with probability
-    exp(-tilt^2 x/2). The first pass makes one proposal per entry, each
-    later pass `_RETRY_PROPOSALS` per pending entry, keeping the first
-    accepted.
+    exp(-tilt^2 x/2). The first pass makes one proposal per entry; a later
+    pass with P entries pending makes min(`_RETRY_PROPOSALS`,
+    ceil(`_RETRY_BUDGET` / P)) per pending entry and keeps each entry's first
+    accepted. A few pending entries get 4 each, so that one pass most often
+    ends the loop; many get about `_RETRY_BUDGET` proposals in all, as their
+    pass costs more per proposal than per pass.
     """
     out = _group_proposals(guide_at, scale, groups, rng)
     accept = neg_half_tilt2 * out
@@ -313,15 +336,16 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
                 "P-IG grouped tilt rejection", todo.size, group=group,
                 chi=np.sqrt(2.0 * scale[todo]) / group,
                 tilt=np.sqrt(-2.0 * neg_half_tilt2[todo]))
-        rep = todo.repeat(_RETRY_PROPOSALS)
+        each = min(_RETRY_PROPOSALS, -(-_RETRY_BUDGET // todo.size))
+        rep = todo.repeat(each)
         x = _group_proposals(None if guide_at is None else guide_at[rep],
                              scale[rep], groups, rng)
         accept = neg_half_tilt2[rep]
         accept *= x
         keep = rng.random(rep.size) <= np.exp(accept, out=accept)
         # the first accepted proposal of each entry (its first if none is)
-        first = keep.reshape(-1, _RETRY_PROPOSALS).argmax(axis=1)
-        first += np.arange(0, rep.size, _RETRY_PROPOSALS)
+        first = keep.reshape(-1, each).argmax(axis=1)
+        first += np.arange(0, rep.size, each)
         hit = keep[first]
         out[todo[hit]] = x[first[hit]]
         todo = todo[~hit]
@@ -345,45 +369,110 @@ def _ladder(shift, trunc_terms, copies):
     return _ladder_constants(1.0 / (_SQRT2 * d), copies)
 
 
-def _entry_groups(tilts, keep, ladder):
-    """Row, guide row (`_order_shapes`) and scale g^2 delta^2/2 of the
-    groups of the entries in `keep`, in (size, row, term) order, each term
-    sized at its largest omega <= the split; no guide row when every group
-    is one copy."""
-    deltas, limit, _, groups, scales = ladder
-    # a term with no tilt within `limit` reads the largest: single copies
+class _Layout(NamedTuple):
+    """Where a call's draws go, read from its shape and not from its tilts:
+    grouped entries in (size, row, term) order, then omega > 2 singles."""
+
+    row: np.ndarray  # each entry's row, the index `np.bincount` sums over
+    grouped: int  # entries that are groups; the rest are singles
+    guide_at: np.ndarray | None  # each group's guide row (`_order_shapes`), int32
+    scale: np.ndarray  # each group's g^2 delta^2 / 2
+    delta: np.ndarray  # delta of each omega > 2 cell, whose `copies` singles follow
+
+
+def _columns(tilts, ladder):
+    """Each term's column of the group table (`_group_table`): sized at its
+    largest omega <= the split among the rows; a term with no tilt within
+    its limit reads the largest, which gives single copies."""
+    deltas, limit, _, groups, _ = ladder
     top = np.sort(tilts)
     top = top[top.searchsorted(limit, side="right") - 1] * deltas
-    col = groups.bound.searchsorted(np.log1p(top) - top, side="right")
+    return groups.bound.searchsorted(np.log1p(top) - top, side="right")
+
+
+def _entry_layout(keep, col, ladder):
+    """The `_Layout` of the (row, term) cells in `keep` drawn in groups of
+    the sizes of their term's column, the others as `copies` singles."""
+    deltas, _, copies, groups, scales = ladder
+    rows = keep.shape[0]
     lo, hi = groups.low[col.min()], col.max() + 1  # sizes in use; low rises with c
     # groups of each (size, row, term)
     count = groups.table[lo:hi].take(col, axis=1)[:, None, :] * keep
     per = count.sum(axis=2)
-    row = (np.arange(per.size) % tilts.size).repeat(per.ravel())
-    scale = np.repeat(scales[lo:hi], tilts.size, axis=0).ravel().repeat(count.ravel())
+    row = (np.arange(per.size) % rows).repeat(per.ravel())
+    scale = np.repeat(scales[lo:hi], rows, axis=0).ravel().repeat(count.ravel())
     guide_at = None
     if hi > 1:  # a term sized above one copy has such a group at its top tilt
-        guide_at = (np.arange(lo, hi) * (_GUIDE + 1)).repeat(per.sum(axis=1))
-    return row, guide_at, scale
+        guide_at = np.arange(lo, hi, dtype=np.int32) * (_GUIDE + 1)
+        guide_at = guide_at.repeat(per.sum(axis=1))
+    one_row, one_term = np.divmod(np.flatnonzero(~keep), deltas.size)
+    joined = np.concatenate((row, one_row.repeat(copies)))
+    if rows == 1:  # every entry sums into row 0: a zero-stride view holds them
+        joined = np.broadcast_to(np.intp(0), joined.size)
+    layout = _Layout(joined, row.size, guide_at, scale, deltas[one_term])
+    for a in (joined, guide_at, scale, layout.delta):
+        if a is not None:
+            a.flags.writeable = False
+    return layout
 
 
-def _ladder_sums(ladder, tilts, rng):
+class _LayoutCache:
+    """The `slots` layouts last used, each kept only if it has at most
+    `entries` entries; a miss builds the layout (`_entry_layout`)."""
+
+    def __init__(self, slots, entries):
+        self.slots, self.entries = slots, entries
+        self._kept = OrderedDict()
+        self._lock = Lock()
+
+    def __len__(self):
+        return len(self._kept)
+
+    def get(self, key, keep, col, ladder):
+        with self._lock:
+            layout = self._kept.get(key)
+            if layout is not None:
+                self._kept.move_to_end(key)
+                return layout
+        layout = _entry_layout(keep, col, ladder)
+        if layout.row.size <= self.entries:
+            with self._lock:
+                self._kept[key] = layout
+                if len(self._kept) > self.slots:
+                    self._kept.popitem(last=False)
+        return layout
+
+
+_LAYOUTS = _LayoutCache(_LAYOUT_SLOTS, _LAYOUT_ENTRIES)
+
+
+def _ladder_sums(ladder, tilts, rng, key=None):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt: grouped draws (`_entry_groups`), then single `gig_rvs` draws
-    where omega = delta_k * tilt_i > `_OMEGA_SPLIT`, summed in draw order."""
-    deltas, limit, copies, groups, _ = ladder
-    keep = tilts[:, None] <= limit  # omega <= the split, as tilt <= split / delta
-    row, guide_at, scale = _entry_groups(tilts, keep, ladder)
-    draws = _grouped_rejection(guide_at, scale, (-0.5 * tilts**2)[row], groups, rng)
-    if not keep.all():
-        one_row, one_term = np.divmod(np.flatnonzero(~keep).repeat(copies), deltas.size)
-        row = np.concatenate((row, one_row))
-        draws = np.concatenate((draws, gig_rvs(deltas[one_term], tilts[one_row], rng)))
+    per tilt: grouped draws, then single `gig_rvs` draws where omega =
+    delta_k * tilt_i > `_OMEGA_SPLIT`, summed in draw order. With a ladder
+    `key`, the layout is looked up in `_LAYOUTS` by the key, the row count,
+    each term's column and which cells are grouped. A layout has at least
+    one entry a cell, so a call of more cells than the cache keeps entries
+    builds its own without a key."""
+    keep = tilts[:, None] <= ladder[1]  # omega <= the split, as tilt <= split / delta
+    col = _columns(tilts, ladder)
+    if key is None or keep.size > _LAYOUTS.entries:
+        layout = _entry_layout(keep, col, ladder)
+    else:
+        layout = _LAYOUTS.get((*key, tilts.size, col.tobytes(), keep.tobytes()),
+                              keep, col, ladder)
+    row, n = layout.row, layout.grouped
+    draws = _grouped_rejection(layout.guide_at, layout.scale,
+                               (-0.5 * tilts**2)[row[:n]], ladder[3], rng)
+    if n < row.size:
+        one = gig_rvs(layout.delta.repeat(ladder[2]), tilts[row[n:]], rng)
+        draws = np.concatenate((draws, one))
     return np.bincount(row, draws, minlength=tilts.size)
 
 
 def _grouped_sums(deltas, tilts, copies, rng):
-    """`_ladder_sums` for any deltas, not only an affine ladder's."""
+    """`_ladder_sums` for any deltas, not only an affine ladder's; its
+    layouts are not kept."""
     return _ladder_sums(_ladder_constants(deltas, copies), tilts, rng)
 
 
@@ -403,12 +492,13 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     _check_count(copies, "copies")
     copies = int(copies)
     kt = config.trunc_terms
-    ladder = _ladder(params.shift, kt, copies)
+    key = (params.shift, kt, copies)
+    ladder = _ladder(*key)
     flat = tilts.ravel()
     body = np.empty(flat.size)
     step = max(1, _CHUNK_ELEMENTS // (kt * copies))
     for lo in range(0, flat.size, step):
-        body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng)
+        body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng, key)
     tail = _tail_mean_ladder(params.shift, kt, tilts)
     return body.reshape(tilts.shape) + copies * tail
 

@@ -83,12 +83,16 @@ def dirichlet_log_sample(conc, rng):
     conc = np.atleast_1d(np.asarray(conc, dtype=float))
     if conc.ndim > 2 or conc.size == 0:
         raise ValueError("conc must be a nonempty vector or matrix")
-    if not np.all(np.isfinite(conc)) or np.any(conc <= 0.0):
+    if not (conc.min() > 0.0 and conc.max() < np.inf):  # both False for a NaN
         raise ValueError("all concentrations must be finite and > 0")
     x = rng.standard_gamma(conc + 1.0)
     u = rng.random(conc.shape)
-    with np.errstate(divide="ignore"):
-        log_g = np.log(x) + np.log(u) / conc
+    if u.all():
+        log_u = np.log(u)
+    else:  # an exact 0.0 gives log_p = -inf, p = 0
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+    log_g = np.log(x) + log_u / conc
     top = log_g.max(axis=-1, keepdims=True)
     log_p = log_g - (top + np.log(np.exp(log_g - top).sum(axis=-1, keepdims=True)))
     return np.exp(log_p), log_p

@@ -389,6 +389,16 @@ def _reverse_bessel_polys(g):
 GROUP_CASES = [(c, t) for c in (1, 2, 3, 6, 36, 61, 201)
                for t in (0.0, 0.5, 2.8, 27.0)]
 
+# (tilts, copies) of the chains' calls: per category, shared alpha, gamma
+# shape (26.4 reaches the omega > 2 singles), and six single-copy rows
+CHAIN_CALLS = [
+    (SQRT2 * np.array([[0.39, 0.44, 0.46, 0.35, 0.41, 0.27]]), 6),  # per category
+    (SQRT2 * np.array([[0.05, 0.4, 1.3, 2.0, 7.5, 0.0]]), 6),
+    (SQRT2 * np.array([[0.69]]), 36),  # shared alpha
+    *[(np.array([t]), c) for t in (1.39, 2.83, 26.4) for c in (61, 201)],
+    (np.array([0.0, 0.3, 1.39, 2.83, 26.4, 300.0]), 1),
+]
+
 
 class TestGroupedSums:
     """`copies` draws each entry as the sum of that many independent P-IG
@@ -508,11 +518,41 @@ class TestGroupedSums:
                                         for v in (got, want))
                 assert abs(a - b) <= 4 * np.hypot(se_a, se_b)
 
+    @staticmethod
+    def recorded_passes(monkeypatch):
+        """Proposals drawn in each pass of each grouped rejection: one list
+        per `_grouped_rejection` call, its first pass first."""
+        calls = []
+        rejection, proposals = pig._grouped_rejection, pig._group_proposals
+
+        def record_rejection(*args):
+            calls.append([])
+            return rejection(*args)
+
+        def record_proposals(guide_at, scale, groups, rng):
+            calls[-1].append(scale.size)
+            return proposals(guide_at, scale, groups, rng)
+
+        monkeypatch.setattr(pig, "_grouped_rejection", record_rejection)
+        monkeypatch.setattr(pig, "_group_proposals", record_proposals)
+        return calls
+
+    @staticmethod
+    def assert_sized_retries(calls, copies, tilt):
+        # many terms at tilt 27 and 201 copies leave more than B // 3 groups
+        # pending after a pass: a pass of more than 4 (B // 3) proposals had
+        # that many pending (up to B // 3 get 4 each), so fewer than 4 each
+        if (copies, tilt) == (201, 27.0):
+            retries = [n for passes in calls for n in passes[1:]]
+            assert max(retries) > pig._RETRY_PROPOSALS * (pig._RETRY_BUDGET // 3)
+
     @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
-    def test_transform_matches_product_power(self, copies, tilt):
+    def test_transform_matches_product_power(self, copies, tilt, monkeypatch):
         params, cfg = PigParams.integer(c=tilt), PigSamplerConfig(trunc_terms=200)
+        calls = self.recorded_passes(monkeypatch)
         sums = pig_sample_with_tilts(params, np.full(4000, tilt), cfg,
                                      make_rng(copies), copies=copies)
+        self.assert_sized_retries(calls, copies, tilt)
         tail = _pig_tail_mean(params, cfg)
         for s in (0.3, 1.0, 3.0):
             t = np.sqrt(s / (copies * _pig_mean(params, cfg)))
@@ -522,11 +562,13 @@ class TestGroupedSums:
             assert abs(mc - want) <= 4 * se
 
     @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
-    def test_moments_match_summed_single_draws(self, copies, tilt):
+    def test_moments_match_summed_single_draws(self, copies, tilt, monkeypatch):
         params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=24)
         n = 1500
+        calls = self.recorded_passes(monkeypatch)
         grouped = pig_sample_with_tilts(params, np.full(n, tilt), cfg,
                                         make_rng(11), copies=copies)
+        self.assert_sized_retries(calls, copies, tilt)
         single = _gig_rvs_row_sums(_ladder_deltas(params, 24),
                                    np.full(n * copies, tilt), make_rng(12))
         single = (single.reshape(n, copies).sum(axis=1)
@@ -557,13 +599,7 @@ class TestGroupedSums:
             x = rng.standard_gamma(shape)
         return np.divide(scale, x, out=x)
 
-    @pytest.mark.parametrize("tilts, copies", [
-        (SQRT2 * np.array([[0.39, 0.44, 0.46, 0.35, 0.41, 0.27]]), 6),  # per category
-        (SQRT2 * np.array([[0.05, 0.4, 1.3, 2.0, 7.5, 0.0]]), 6),
-        (SQRT2 * np.array([[0.69]]), 36),  # shared alpha
-        *[(np.array([t]), c) for t in (1.39, 2.83, 26.4) for c in (61, 201)],
-        (np.array([0.0, 0.3, 1.39, 2.83, 26.4, 300.0]), 1),
-    ])
+    @pytest.mark.parametrize("tilts, copies", CHAIN_CALLS)
     def test_outputs_match_the_searchsorted_reference(self, tilts, copies, monkeypatch):
         # same draws and same generator state after them, pass for pass
         params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
@@ -578,6 +614,100 @@ class TestGroupedSums:
         monkeypatch.setattr(pig, "_group_proposals", self.searchsorted_proposals)
         want, want_state = run()
         assert np.array_equal(got, want) and got_state == want_state
+
+    def test_retry_passes_sized_by_pending(self, monkeypatch):
+        # a stand-in proposal accepts the first proposal of as many pending
+        # entries as the schedule asks and rejects the rest (x = inf), so
+        # the pass with P pending must draw P min(4, ceil(B / P)) proposals
+        pending = [2000, 1500, 700, 400, 341, 65, 64, 3, 0]
+        sizes = []
+
+        def proposals(guide_at, scale, groups, rng):
+            now = pending[len(sizes)]
+            sizes.append(scale.size)
+            each = scale.size // now
+            x = np.full(scale.size, np.inf)
+            x[:(now - pending[len(sizes)]) * each:each] = 0.0  # accepted
+            return x
+
+        monkeypatch.setattr(pig, "_group_proposals", proposals)
+        n = pending[0]
+        out = pig._grouped_rejection(None, np.ones(n), np.full(n, -1.0),
+                                     pig._group_table(2), make_rng(0))
+        assert np.array_equal(out, np.zeros(n))
+        budget, most = pig._RETRY_BUDGET, pig._RETRY_PROPOSALS
+        assert sizes == [n] + [p * min(most, -(-budget // p)) for p in pending[1:-1]]
+        # up to 64 pending keep 4 proposals each
+        assert [s // p for s, p in zip(sizes[1:], pending[1:])] == [1, 2, 3, 4, 4, 4, 4]
+
+    @staticmethod
+    def recorded_builds(monkeypatch, slots):
+        """A fresh layout cache of `slots` layouts, and a list that gets
+        every layout built."""
+        built = []
+        build = pig._entry_layout
+
+        def record(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        cache = pig._LayoutCache(slots, pig._LAYOUT_ENTRIES)
+        monkeypatch.setattr(pig, "_entry_layout", record)
+        monkeypatch.setattr(pig, "_LAYOUTS", cache)
+        return cache, built
+
+    def test_layout_cache_is_invisible(self, monkeypatch):
+        # a cold cache and a warm one give equal draws and leave the
+        # generator in the same state, over calls whose layouts repeat out
+        # of order
+        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
+        # two pairs of calls whose layouts differ in one part of the key:
+        # tilts 1.39 and 2.0 in their columns only, 25.48 and 25.43 (omega
+        # 2.002 and 1.998 at term 9) in their omega <= 2 cells only
+        pairs = [(np.array([1.39]), 61), (np.array([2.0]), 61),
+                 (np.array([25.48]), 201), (np.array([25.43]), 201)]
+        for (a, copies), (b, _) in (pairs[:2], pairs[2:]):
+            ladder = pig._ladder(1.0, 200, copies)
+            same_col = np.array_equal(*(pig._columns(t, ladder) for t in (a, b)))
+            same_keep = np.array_equal(*(t[:, None] <= ladder[1] for t in (a, b)))
+            assert same_col != same_keep
+        calls = CHAIN_CALLS + pairs[1:]  # 1.39 at 61 copies is a chain call
+        order = [*range(len(calls))] * 2
+        order += make_rng(9).permutation(order).tolist()
+
+        def run(slots):
+            _, built = self.recorded_builds(monkeypatch, slots)
+            rng = make_rng(12)
+            draws = []
+            for i in order:
+                tilts, copies = calls[i]
+                draws.append(pig_sample_with_tilts(params, tilts, cfg, rng,
+                                                   copies=copies))
+            return draws, rng.bit_generator.state, len(built)
+
+        warm, warm_state, warm_builds = run(pig._LAYOUT_SLOTS)
+        cold, cold_state, cold_builds = run(0)
+        assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+        assert warm_state == cold_state
+        assert warm_builds == len(calls) and cold_builds == len(order)
+
+    def test_layout_cache_bounds(self, monkeypatch):
+        cache, _ = self.recorded_builds(monkeypatch, pig._LAYOUT_SLOTS)
+        cfg = PigSamplerConfig(trunc_terms=20)
+        for rows in range(1, 2 * pig._LAYOUT_SLOTS):  # a layout per row count
+            pig_sample_with_tilts(PigParams.integer(), np.full(rows, 0.5), cfg,
+                                  make_rng(rows), copies=3)
+            assert len(cache) == min(rows, pig._LAYOUT_SLOTS)
+        # above the per-layout cap: more cells than it (2,000 draws at 1000
+        # terms), or fewer cells but more entries (9 omega > 2 terms of 1000
+        # single copies each)
+        cache, built = self.recorded_builds(monkeypatch, pig._LAYOUT_SLOTS)
+        pig_sample_with_tilts(PigParams.integer(), np.full(2000, 0.5),
+                              PigSamplerConfig(trunc_terms=1000), make_rng(1))
+        pig_sample_with_tilts(PigParams.integer(), [27.0], PigSamplerConfig(),
+                              make_rng(2), copies=1000)
+        assert len(built) == 3 and len(cache) == 0
+        assert min(layout.row.size for layout in built) > pig._LAYOUT_ENTRIES
 
     @pytest.mark.parametrize("copies", (7, 40, 300))  # over 256: no whole groups
     def test_shape_determinism_and_domain(self, copies):

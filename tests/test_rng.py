@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,10 +72,28 @@ class TestDirichletLogSample:
 
     @pytest.mark.parametrize("conc", [np.ones((2, 2, 3)), np.ones((0, 3)),
                                       np.ones((3, 0)), [[1.0, 2.0], [0.0, 1.0]],
-                                      [[1.0, np.inf], [1.0, 1.0]]])
+                                      [[1.0, np.inf], [1.0, 1.0]],
+                                      [[1.0, np.nan], [1.0, 1.0]],
+                                      [[1.0, 1.0], [-np.inf, 1.0]],
+                                      [[1.0, 2.0], [1.0, -0.5]]])
     def test_matrix_domain(self, conc):
         with pytest.raises(ValueError):
             dirichlet_log_sample(conc, make_rng(0))
+
+    def test_exact_zero_uniform(self):
+        # a uniform of exactly 0.0 gives its component p = 0, without a warning
+        class OneZero(StuckGenerator):
+            def random(self, size=None):
+                u = self._rng.random(size)
+                u.flat[1] = 0.0
+                return u
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, log_p = dirichlet_log_sample(np.ones((2, 3)), OneZero(3))
+        assert log_p[0, 1] == -np.inf and p[0, 1] == 0.0
+        assert np.isfinite(np.delete(log_p, 1)).all()
+        assert np.allclose(p.sum(axis=1), 1.0)
 
 
 class TestTruncatedNormal:
