@@ -20,7 +20,7 @@ from .dirichlet import (AlphaPrior, grid_mean_sd, posterior_predictive,
                         run_chain, run_chain_homogeneous)
 from .gammashape import (GammaShapePrior, run_shape_chain, shape_posterior_grid,
                          shape_posterior_quadrature)
-from .io import (ParseError, parse_counts_csv, parse_reals_csv,
+from .io import (ParseError, format_rows, parse_counts_csv, parse_reals_csv,
                  read_samples_csv, write_long_csv, write_samples_csv,
                  write_summary_json)
 from .pig import (PigParams, PigSamplerConfig, mc_transform,
@@ -219,12 +219,12 @@ def _write_fit(out, samples):
     """samples.csv, summary.json and plot_data.csv (one row per draw and
     parameter) of a fit command."""
     outdir = _ensure_outdir(out)
-    write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
+    rows = format_rows(samples.draws)
+    write_samples_csv(os.path.join(outdir, "samples.csv"), samples, rows)
     write_summary_json(os.path.join(outdir, "summary.json"),
                        summarize_samples(samples), samples.meta)
     write_long_csv(os.path.join(outdir, "plot_data.csv"), ("parameter", "value"),
-                   ((samples.names[j], samples.draws[i, j])
-                    for i in range(samples.size) for j in range(len(samples.names))))
+                   samples.names, rows)
     print(f"wrote samples.csv, summary.json, plot_data.csv to {outdir}")
     return EXIT_OK
 
@@ -313,9 +313,7 @@ def cmd_predict(args):
     sims = posterior_predictive(samples, cfg["draws_per_sample"], rng)
     outdir = _ensure_outdir(cfg["out"])
     out = os.path.join(outdir, "predictive.csv")
-    write_long_csv(out, ("category", "value"),
-                   ((names[j], sims[i, j])
-                    for i in range(sims.shape[0]) for j in range(len(names))))
+    write_long_csv(out, ("category", "value"), names, format_rows(sims))
     print(f"wrote {sims.shape[0]} simplex draws to {out}")
     return EXIT_OK
 

@@ -43,7 +43,7 @@ from .rng import (MAX_REJECTION_PASSES, dirichlet_log_sample, make_rng,
                   rejection_cap_error, truncated_normal_sample)
 from .special import EULER_GAMMA, log_gamma
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = np.array(np.sqrt(2.0))  # 0-d: see `pig._tail_start`
 _INTEGER_LADDER = PigParams.integer()
 
 # The alpha kernel's hat joins its two pieces at 1 + _HAT_JOIN_SDS/sqrt(M')

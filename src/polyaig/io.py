@@ -13,7 +13,7 @@ import numpy as np
 
 from .dirichlet import CountMatrix
 
-_FLOAT_FMT = "{:.17g}"
+_FLOAT_FMT = "%.17g"
 
 
 class ParseError(ValueError):
@@ -95,13 +95,21 @@ def parse_reals_csv(path):
     return np.asarray(values, dtype=float)
 
 
-def write_samples_csv(path, samples):
-    """Samples CSV: header `iter,<name>,...`, one row per retained draw."""
+def format_rows(matrix):
+    """Each row of the 2-D `matrix` as one line of its values in
+    `_FLOAT_FMT`, comma-separated: every value formatted once."""
+    matrix = np.asarray(matrix, dtype=float)
+    row = ",".join([_FLOAT_FMT] * matrix.shape[1])
+    return [row % tuple(values) for values in matrix.tolist()]
+
+
+def write_samples_csv(path, samples, rows):
+    """Samples CSV: header `iter,<name>,...`, one row per retained draw,
+    `rows` being `format_rows(samples.draws)`."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("iter," + ",".join(samples.names) + "\n")
-        for i in range(samples.size):
-            cells = [_FLOAT_FMT.format(v) for v in samples.draws[i]]
-            fh.write(f"{int(samples.iters[i])}," + ",".join(cells) + "\n")
+        fh.writelines(f"{int(it)},{row}\n"
+                      for it, row in zip(samples.iters.tolist(), rows))
 
 
 def read_samples_csv(path):
@@ -132,12 +140,14 @@ def read_samples_csv(path):
     return np.asarray(iters, dtype=np.int64), np.asarray(rows, dtype=float), names
 
 
-def write_long_csv(path, columns, rows):
-    """Two-column long-format CSV (e.g. parameter,value or category,value)."""
+def write_long_csv(path, columns, names, rows):
+    """Two-column long-format CSV (e.g. parameter,value or category,value)
+    of a matrix with one column per name, `rows` being its `format_rows`:
+    one line per value, labelled with its column's name."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for label, value in rows:
-            fh.write(f"{label},{_FLOAT_FMT.format(value)}\n")
+        fh.writelines(f"{name},{cell}\n"
+                      for row in rows for name, cell in zip(names, row.split(",")))
 
 
 def write_summary_json(path, parameter_rows, meta):

@@ -70,7 +70,7 @@ from scipy import special as _sp
 from .rng import MAX_REJECTION_PASSES, _OMEGA_SPLIT, gig_rvs, rejection_cap_error
 from .special import digamma, log_gamma
 
-_SQRT2 = np.sqrt(2.0)
+_SQRT2 = np.array(np.sqrt(2.0))  # 0-d: see `_tail_start`
 
 # Element budget per rejection batch: the grouped path holds about 48 bytes
 # of working arrays per (row, term, copy) element, so a chunk needs about
@@ -184,8 +184,11 @@ def pig_laplace_closed(params, t):
     return float(np.exp(_log_g(u, a) - _log_g(v, a)))
 
 
-# psi(shift + K), computed once per ladder
-_psi = lru_cache(maxsize=16)(_sp.psi)
+@lru_cache(maxsize=16)
+def _tail_start(start):
+    """start = shift + K and psi(start), once per ladder, as 0-d arrays,
+    which numpy combines with small arrays faster than Python floats."""
+    return np.array(start), np.array(_sp.psi(start))
 
 
 def _tail_mean_ladder(shift, trunc_terms, tilts):
@@ -195,15 +198,15 @@ def _tail_mean_ladder(shift, trunc_terms, tilts):
     polygamma limit at v = 0.
     """
     v = np.asarray(tilts, dtype=float) / _SQRT2
-    start = shift + trunc_terms
-    if v.all():
-        return (_sp.psi(start + v) - _psi(start)) / (2.0 * v)
+    start, psi_start = _tail_start(shift + trunc_terms)
+    if np.count_nonzero(v) == v.size:
+        return (_sp.psi(start + v) - psi_start) / (v + v)
     out = np.empty(v.shape)
     zero = v == 0.0
     out[zero] = 0.5 * _sp.polygamma(1, start)
     if (~zero).any():
         vv = v[~zero]
-        out[~zero] = (_sp.psi(start + vv) - _psi(start)) / (2.0 * vv)
+        out[~zero] = (_sp.psi(start + vv) - psi_start) / (vv + vv)
     return out
 
 
@@ -347,6 +350,9 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
         first = keep.reshape(-1, each).argmax(axis=1)
         first += np.arange(0, rep.size, each)
         hit = keep[first]
+        if np.count_nonzero(hit) == hit.size:  # the pass ends the loop
+            out[todo] = x[first]
+            return out
         out[todo[hit]] = x[first[hit]]
         todo = todo[~hit]
         passes += 1
@@ -355,11 +361,12 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
 
 def _ladder_constants(deltas, copies):
     """What `_ladder_sums` reads of a ladder and a copy count: the deltas,
-    the omega-split limits split / delta_k, the copies, their groups and the
-    (size, term) table of scales g^2 delta_k^2 / 2."""
+    the omega-split limits split / delta_k, the copies, their groups, the
+    (size, term) table of scales g^2 delta_k^2 / 2 and the smallest limit."""
     groups = _group_table(copies)
-    return (deltas, _OMEGA_SPLIT / deltas, copies, groups,
-            np.multiply.outer(groups.half_square, deltas**2))
+    limit = _OMEGA_SPLIT / deltas
+    return (deltas, limit, copies, groups,
+            np.multiply.outer(groups.half_square, deltas**2), limit.min())
 
 
 @lru_cache(maxsize=16)
@@ -384,17 +391,19 @@ def _columns(tilts, ladder):
     """Each term's column of the group table (`_group_table`): sized at its
     largest omega <= the split among the rows; a term with no tilt within
     its limit reads the largest, which gives single copies."""
-    deltas, limit, _, groups, _ = ladder
+    deltas, limit, _, groups, _, _ = ladder
     top = np.sort(tilts)
     top = top[top.searchsorted(limit, side="right") - 1] * deltas
     return groups.bound.searchsorted(np.log1p(top) - top, side="right")
 
 
-def _entry_layout(keep, col, ladder):
-    """The `_Layout` of the (row, term) cells in `keep` drawn in groups of
-    the sizes of their term's column, the others as `copies` singles."""
-    deltas, _, copies, groups, scales = ladder
-    rows = keep.shape[0]
+def _entry_layout(rows, keep, col, ladder):
+    """The `_Layout` of the (row, term) cells in `keep` (None: all of them)
+    drawn in groups of the sizes of their term's column, the others as
+    `copies` singles."""
+    deltas, _, copies, groups, scales, _ = ladder
+    if keep is None:
+        keep = np.ones((rows, deltas.size), dtype=bool)
     lo, hi = groups.low[col.min()], col.max() + 1  # sizes in use; low rises with c
     # groups of each (size, row, term)
     count = groups.table[lo:hi].take(col, axis=1)[:, None, :] * keep
@@ -428,13 +437,13 @@ class _LayoutCache:
     def __len__(self):
         return len(self._kept)
 
-    def get(self, key, keep, col, ladder):
+    def get(self, key, *cells):
         with self._lock:
             layout = self._kept.get(key)
             if layout is not None:
                 self._kept.move_to_end(key)
                 return layout
-        layout = _entry_layout(keep, col, ladder)
+        layout = _entry_layout(*cells)
         if layout.row.size <= self.entries:
             with self._lock:
                 self._kept[key] = layout
@@ -451,21 +460,30 @@ def _ladder_sums(ladder, tilts, rng, key=None):
     per tilt: grouped draws, then single `gig_rvs` draws where omega =
     delta_k * tilt_i > `_OMEGA_SPLIT`, summed in draw order. With a ladder
     `key`, the layout is looked up in `_LAYOUTS` by the key, the row count,
-    each term's column and which cells are grouped. A layout has at least
-    one entry a cell, so a call of more cells than the cache keeps entries
-    builds its own without a key."""
-    keep = tilts[:, None] <= ladder[1]  # omega <= the split, as tilt <= split / delta
-    col = _columns(tilts, ladder)
-    if key is None or keep.size > _LAYOUTS.entries:
-        layout = _entry_layout(keep, col, ladder)
+    each term's column and which cells are grouped (None: every cell, when
+    no tilt exceeds the smallest limit, so each term's top tilt is the
+    largest). A layout has at least one entry a cell, so a call of more
+    cells than the cache keeps entries builds its own without a key."""
+    deltas, limit, copies, groups, _, lowest = ladder
+    top = tilts.max()
+    if not top < np.inf:  # false for a NaN too
+        raise ValueError("tilts must be finite")
+    if top <= lowest:
+        keep, top = None, top * deltas
+        col = groups.bound.searchsorted(np.log1p(top) - top, side="right")
+    else:  # omega <= the split, as tilt <= split / delta
+        keep, col = tilts[:, None] <= limit, _columns(tilts, ladder)
+    cells = (tilts.size, keep, col, ladder)
+    if key is None or tilts.size * deltas.size > _LAYOUTS.entries:
+        layout = _entry_layout(*cells)
     else:
-        layout = _LAYOUTS.get((*key, tilts.size, col.tobytes(), keep.tobytes()),
-                              keep, col, ladder)
+        layout = _LAYOUTS.get((*key, tilts.size, col.tobytes(),
+                               None if keep is None else keep.tobytes()), *cells)
     row, n = layout.row, layout.grouped
     draws = _grouped_rejection(layout.guide_at, layout.scale,
-                               (-0.5 * tilts**2)[row[:n]], ladder[3], rng)
+                               (-0.5 * tilts**2)[row[:n]], groups, rng)
     if n < row.size:
-        one = gig_rvs(layout.delta.repeat(ladder[2]), tilts[row[n:]], rng)
+        one = gig_rvs(layout.delta.repeat(copies), tilts[row[n:]], rng)
         draws = np.concatenate((draws, one))
     return np.bincount(row, draws, minlength=tilts.size)
 
@@ -487,18 +505,20 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     `_CHUNK_ELEMENTS` (row, term, copy) elements.
     """
     tilts = np.abs(np.asarray(tilts, dtype=float))
-    if not np.isfinite(tilts).all():
-        raise ValueError("tilts must be finite")
     _check_count(copies, "copies")
     copies = int(copies)
     kt = config.trunc_terms
     key = (params.shift, kt, copies)
     ladder = _ladder(*key)
     flat = tilts.ravel()
-    body = np.empty(flat.size)
     step = max(1, _CHUNK_ELEMENTS // (kt * copies))
-    for lo in range(0, flat.size, step):
-        body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng, key)
+    chunks = range(0, flat.size, step)
+    if len(chunks) == 1:
+        body = _ladder_sums(ladder, flat, rng, key)
+    else:
+        body = np.empty(flat.size)
+        for lo in chunks:
+            body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng, key)
     tail = _tail_mean_ladder(params.shift, kt, tilts)
     return body.reshape(tilts.shape) + copies * tail
 

@@ -87,7 +87,7 @@ def dirichlet_log_sample(conc, rng):
         raise ValueError("all concentrations must be finite and > 0")
     x = rng.standard_gamma(conc + 1.0)
     u = rng.random(conc.shape)
-    if u.all():
+    if np.count_nonzero(u) == u.size:
         log_u = np.log(u)
     else:  # an exact 0.0 gives log_p = -inf, p = 0
         with np.errstate(divide="ignore"):
@@ -99,18 +99,17 @@ def dirichlet_log_sample(conc, rng):
 
 
 def _tn_inverse_cdf(a, rng, n):
-    """n standardized draws from N(0,1) | Z > a by inverse CDF; `a` is a
-    scalar or has n entries."""
+    """Standardized draws from N(0,1) | Z > a by inverse CDF, n of them (a
+    count or a shape); `a` is a scalar or has that many entries."""
     u = rng.random(n)
-    redo = u == 0.0  # keep ndtri off the -inf endpoint
     passes = 0
-    while redo.any():
+    while np.count_nonzero(u) < u.size:  # keep ndtri off the -inf endpoint
+        redo = u == 0.0
         if passes == MAX_REJECTION_PASSES:
             raise rejection_cap_error("truncated-normal inverse CDF", int(redo.sum()),
                                       cutoff=np.broadcast_to(a, n)[redo])
         passes += 1
         u[redo] = rng.random(int(redo.sum()))
-        redo = u == 0.0
     return -_sp.ndtri(u * _sp.ndtr(-a))
 
 
@@ -168,7 +167,7 @@ def truncated_normal_sample(mean, variance, lower, rng, size=None):
     tail = a > _TN_TAIL_CUTOFF
     n_tail = np.count_nonzero(tail)
     if n_tail == 0:
-        z = _tn_inverse_cdf(a.ravel(), rng, a.size).reshape(a.shape)
+        z = _tn_inverse_cdf(a, rng, a.shape)
     elif n_tail == a.size:
         z = _tn_tail_rejection(a.ravel(), rng, a.size).reshape(a.shape)
     else:

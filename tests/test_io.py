@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyaig.chain import PosteriorSamples
-from polyaig.io import (ParseError, parse_counts_csv, parse_reals_csv,
-                        read_samples_csv, write_long_csv, write_samples_csv,
-                        write_summary_json)
+from polyaig.io import (ParseError, format_rows, parse_counts_csv,
+                        parse_reals_csv, read_samples_csv, write_long_csv,
+                        write_samples_csv, write_summary_json)
 
 FIXTURE = "data/opioid_deaths.csv"
 
@@ -100,7 +100,7 @@ class TestSamplesRoundTrip:
         samples = PosteriorSamples(draws, ["alpha_1", "alpha_2"],
                                    np.arange(1, draws.shape[0] + 1), meta={})
         path = tmp_path / "samples.csv"
-        write_samples_csv(path, samples)
+        write_samples_csv(path, samples, format_rows(draws))
         iters, back, names = read_samples_csv(path)
         assert names == ["alpha_1", "alpha_2"]
         assert np.array_equal(back, draws)
@@ -114,11 +114,11 @@ class TestSamplesRoundTrip:
 
     def test_long_csv(self, tmp_path):
         p = tmp_path / "long.csv"
-        write_long_csv(p, ("parameter", "value"),
-                       [("alpha_1", 0.5), ("alpha_2", 1.25)])
+        write_long_csv(p, ("parameter", "value"), ["alpha_1", "alpha_2"],
+                       format_rows([[0.5, 1.25], [0.1, 3.0]]))
         lines = p.read_text().splitlines()
-        assert lines[0] == "parameter,value"
-        assert lines[1] == "alpha_1,0.5"
+        assert lines == ["parameter,value", "alpha_1,0.5", "alpha_2,1.25",
+                         "alpha_1,0.10000000000000001", "alpha_2,3"]
 
     def test_summary_json_shape(self, tmp_path):
         import json

@@ -226,6 +226,17 @@ class TestSampler:
         assert out.shape == tilts.shape
         assert np.all(out > 0.0)
 
+    @pytest.mark.parametrize("shape", ((0,), (0, 3)))
+    def test_empty_tilts(self, shape):
+        # no tilts: an empty array of their shape, and no variate drawn
+        rng = make_rng(3)
+        state = rng.bit_generator.state
+        out = pig_sample_with_tilts(PigParams.integer(), np.zeros(shape),
+                                    PigSamplerConfig(), rng, copies=6)
+        assert out.shape == shape
+        none = pig_sample(PigParams.integer(c=1.0), PigSamplerConfig(), rng, size=0)
+        assert none.shape == (0,) and rng.bit_generator.state == state
+
     def test_mean_bias_bounded_by_tail_choice(self):
         # the added tail mean keeps E[draw] exact for any truncation
         params = PigParams.integer(c=3.0)

@@ -1,0 +1,214 @@
+"""The lean paths of the samplers against test-only copies of the longer
+code they replaced: equal draws and the generator left in the same state.
+
+* `pig._ladder_sums` keys a call whose tilts are all within the smallest
+  omega-split limit by its columns alone; `general_key_sums` builds every
+  layout from the omega <= split mask and `pig._columns`.
+* `pig._grouped_rejection` ends at once on a retry pass that accepts every
+  pending entry; `reference_grouped_rejection` runs the general update.
+* `rng.truncated_normal_sample`'s array path tests for a 0.0 uniform with
+  one count and draws its uniforms in the cutoffs' shape;
+  `reference_truncated_normal` is the array path before that, and the
+  alpha kernel is checked with it in place.
+"""
+
+import numpy as np
+import pytest
+from scipy import special as _sp
+
+from polyaig import dirichlet, pig
+from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
+from polyaig.rng import (_TN_TAIL_CUTOFF, _tn_tail_rejection, gig_rvs, make_rng,
+                         truncated_normal_sample)
+from test_pig import CHAIN_CALLS
+
+
+def general_key_sums(ladder, tilts, rng, key=None):
+    """`pig._ladder_sums` with each layout built, uncached, from the
+    omega <= split mask and `pig._columns`."""
+    keep = tilts[:, None] <= ladder[1]
+    layout = pig._entry_layout(tilts.size, keep, pig._columns(tilts, ladder), ladder)
+    row, n = layout.row, layout.grouped
+    draws = pig._grouped_rejection(layout.guide_at, layout.scale,
+                                   (-0.5 * tilts**2)[row[:n]], ladder[3], rng)
+    if n < row.size:
+        one = gig_rvs(layout.delta.repeat(ladder[2]), tilts[row[n:]], rng)
+        draws = np.concatenate((draws, one))
+    return np.bincount(row, draws, minlength=tilts.size)
+
+
+def reference_grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
+    """`pig._grouped_rejection` with every pass ending in the general
+    bookkeeping, also the pass that accepts every pending entry."""
+    out = pig._group_proposals(guide_at, scale, groups, rng)
+    todo = (rng.random(out.size) > np.exp(neg_half_tilt2 * out)).nonzero()[0]
+    while todo.size:
+        each = min(pig._RETRY_PROPOSALS, -(-pig._RETRY_BUDGET // todo.size))
+        rep = todo.repeat(each)
+        x = pig._group_proposals(None if guide_at is None else guide_at[rep],
+                                 scale[rep], groups, rng)
+        keep = rng.random(rep.size) <= np.exp(neg_half_tilt2[rep] * x)
+        first = keep.reshape(-1, each).argmax(axis=1) + np.arange(0, rep.size, each)
+        hit = keep[first]
+        out[todo[hit]] = x[first[hit]]
+        todo = todo[~hit]
+    return out
+
+
+def _reference_inverse_cdf(a, rng, n):
+    u = rng.random(n)
+    redo = u == 0.0
+    while redo.any():
+        u[redo] = rng.random(int(redo.sum()))
+        redo = u == 0.0
+    return -_sp.ndtri(u * _sp.ndtr(-a))
+
+
+def reference_truncated_normal(mean, variance, lower, rng):
+    """The array path of `truncated_normal_sample` before the lean one."""
+    ok = np.isfinite(variance) & (variance > 0)
+    if np.count_nonzero(ok) != ok.size:
+        raise ValueError("variance must be finite and > 0")
+    sd = np.sqrt(variance)
+    a = (lower - mean) / sd
+    tail = a > _TN_TAIL_CUTOFF
+    n_tail = np.count_nonzero(tail)
+    if n_tail == 0:
+        z = _reference_inverse_cdf(a.ravel(), rng, a.size).reshape(a.shape)
+    elif n_tail == a.size:
+        z = _tn_tail_rejection(a.ravel(), rng, a.size).reshape(a.shape)
+    else:
+        z = np.empty(a.shape)
+        z[~tail] = _reference_inverse_cdf(a[~tail], rng, a.size - n_tail)
+        z[tail] = _tn_tail_rejection(a[tail], rng, n_tail)
+    return mean + sd * z
+
+
+class Tampered:
+    """A generator whose first `random` call with a size has its uniforms
+    changed in place by `edit`; all else is `make_rng(seed)`'s."""
+
+    def __init__(self, seed, edit=None):
+        self._rng = make_rng(seed)
+        self._edit = edit
+
+    def random(self, size=None):
+        u = self._rng.random(size)
+        if self._edit is not None and size is not None:
+            self._edit(u)
+            self._edit = None
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+# the smallest omega-split limit, split / delta_1, of the integer ladder
+LIMIT = pig._ladder(1.0, 200, 1)[5]
+KEY_CASES = CHAIN_CALLS + [
+    (np.array([[LIMIT, 0.5, 2.0]]), 6),  # every cell omega <= 2: columns only
+    (np.array([[np.nextafter(LIMIT, np.inf), 0.5, 2.0]]), 6),  # term 1 omega > 2
+    (np.array([LIMIT]), 36),
+    (np.array([np.nextafter(LIMIT, np.inf)]), 36),
+]
+
+
+@pytest.mark.parametrize("tilts, copies", KEY_CASES)
+def test_layout_key_matches_the_general_rule(tilts, copies, monkeypatch):
+    params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
+    cache = pig._LayoutCache(pig._LAYOUT_SLOTS, pig._LAYOUT_ENTRIES)
+    monkeypatch.setattr(pig, "_LAYOUTS", cache)
+
+    def run():
+        rng = make_rng(copies)
+        draws = [pig_sample_with_tilts(params, tilts, cfg, rng, copies=copies)
+                 for _ in range(20)]
+        return np.array(draws), rng.bit_generator.state
+
+    got, got_state = run()
+    # the columns-only key is taken exactly when no tilt exceeds the limit
+    (key,) = cache._kept
+    assert (key[-1] is None) == (tilts.max() <= LIMIT)
+    monkeypatch.setattr(pig, "_ladder_sums", general_key_sums)
+    monkeypatch.setattr(pig, "_grouped_rejection", reference_grouped_rejection)
+    want, want_state = run()
+    assert np.array_equal(got, want) and got_state == want_state
+
+
+def _zero_at(index):
+    def edit(u):
+        u.flat[index] = 0.0
+    return edit
+
+
+# (mean, variance, lower, edit of the first uniforms): all inverse CDF as
+# in the alpha kernel, tail only, mixed cutoffs, an exact 0.0 uniform that
+# the inverse CDF draws again, and no entries
+TN_CASES = {
+    "inverse-cdf": (np.zeros((6, 8)), np.full((6, 8), 0.04),
+                    np.linspace(-1.0, 0.7, 48).reshape(6, 8), None),
+    "tail-only": (np.zeros((2, 3)), np.full((2, 3), 0.25),
+                  np.array([[2.5, 3.0, 6.0], [2.01, 4.0, 2.2]]), None),
+    "mixed": (np.array([[0.5], [-1.0]]), np.full((2, 3), 2.0),
+              np.array([[0.0, 9.0, 1.5], [6.0, -2.0, 8.0]]), None),
+    "zero-uniform": (np.zeros((3, 4)), np.ones((3, 4)), np.full((3, 4), 0.5),
+                     _zero_at(5)),
+    "empty": (np.zeros(0), np.ones(0), np.zeros(0), None),
+}
+
+
+@pytest.mark.parametrize("case", TN_CASES)
+def test_truncated_normal_matches_the_reference(case):
+    mean, variance, lower, edit = TN_CASES[case]
+
+    def run(sample):
+        rng = Tampered(31, edit)
+        draws = [sample(mean, variance, lower, rng) for _ in range(5)]
+        return np.array(draws), rng.bit_generator.state
+
+    got, got_state = run(truncated_normal_sample)
+    want, want_state = run(reference_truncated_normal)
+    assert np.array_equal(got, want) and got_state == want_state
+    if edit is not None:  # the 0.0 was drawn again, not used
+        assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 0.0, -1.0))
+def test_truncated_normal_refuses_bad_variances(bad):
+    variance = np.array([[1.0, bad], [2.0, 3.0]])
+    for sample in (truncated_normal_sample, reference_truncated_normal):
+        with pytest.raises(ValueError, match="^variance must be finite and > 0$"):
+            sample(np.zeros(2), variance, np.zeros((2, 2)), make_rng(0))
+
+
+def _reject_first_pass(u):
+    u[1] = 1.0  # log u = 0 is above every log(f / hat) <= 0: no proposal accepted
+
+
+# (power, a, b, edit): per category and shared alpha on the snapshot, a
+# wide spread of modes, and a pass that accepts nothing, so a second runs
+ALPHA_CASES = {
+    "per-category": (6, np.array([14.1, 13.2, 12.9, 15.3, 13.8, 17.0]),
+                     np.array([9.8, 9.9, 10.1, 9.5, 9.7, 7.2]), None),
+    "shared": (36, np.array([80.0]), np.array([52.0]), None),
+    "spread": (3, np.array([0.05, 2.0, 400.0]), np.array([-3.0, 0.5, 900.0]), None),
+    "second-pass": (6, np.array([14.1, 3.0]), np.array([9.8, -1.0]),
+                    _reject_first_pass),
+}
+
+
+@pytest.mark.parametrize("case", ALPHA_CASES)
+def test_alpha_kernel_matches_the_reference(case, monkeypatch):
+    power, a, b, edit = ALPHA_CASES[case]
+
+    def run():
+        rng = Tampered(41, edit)
+        draws = [dirichlet.modified_half_normal_sample(power, a, b, rng)
+                 for _ in range(20)]
+        return np.array(draws), rng.bit_generator.state
+
+    got, got_state = run()
+    monkeypatch.setattr(dirichlet, "truncated_normal_sample",
+                        reference_truncated_normal)
+    want, want_state = run()
+    assert np.array_equal(got, want) and got_state == want_state
