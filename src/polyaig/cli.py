@@ -133,9 +133,9 @@ def _check_rows_product(trunc_product=10**6):
 
 def _check_rows_gig(n_draws, rng):
     """GIG(-3/2) draws against the closed mean chi^2/(1 + omega), on both
-    sides of the tilt-rejection split omega = chi*tilt = 2. No tilt-0 row:
-    its variance is infinite, so a tolerance of 4 standard errors means
-    nothing there."""
+    sides of the tilt-rejection split omega = chi*tilt = `rng._OMEGA_SPLIT`.
+    No tilt-0 row: its variance is infinite, so a tolerance of 4 standard
+    errors means nothing there."""
     rows = []
     for chi, tilt in ((1.0, 1.0), (0.5, 2.0), (2.0, 1.5), (0.5, 10.0)):
         draws = gig_rvs(np.full(n_draws, chi), np.full(n_draws, tilt), rng)

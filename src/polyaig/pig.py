@@ -30,12 +30,12 @@ polynomials and properties of Student-t distributions", Constr. Approx.
 is that mixture tilted by exp(-c^2 x/2): exact rejection from the mixture,
 accepting with probability ((1 + omega) e^{-omega})^g, omega = delta_k c.
 
-Every draw goes this way. Each ladder term gets its group sizes once, at
-the largest omega <= 2 among the call's rows, so that each group accepts
-at least half its proposals; the sizes set only the cost, as each group is
-an exact draw at its own row's tilt. A single copy's group is the
-InvGamma(3/2, beta_k) proposal itself (nu = 1, no order to draw). Terms
-with omega > 2 are single `gig_rvs` draws, with no rejection loop.
+Every draw at omega <= `_OMEGA_SPLIT` goes this way. Each ladder term gets
+its group sizes once, at its largest omega within the split among the
+call's rows, so each group accepts at least half its proposals; the sizes
+set only the cost, as each group is an exact draw at its own row's tilt. A
+single copy's group is the InvGamma(3/2, beta_k) proposal itself (nu = 1,
+no order to draw). Terms above the split are single `gig_rvs` draws.
 
 The order nu of a g-sum is drawn by inverse CDF from a guide table (Chen &
 Asau, "On generating random variates from an empirical distribution",
@@ -46,10 +46,10 @@ count are stacked, so one gather serves every size. The constants of a
 (ladder, copies) pair - the deltas, the omega-split limits, the (size x
 term) table of scales g^2 delta_k^2/2 - are computed once and kept.
 
-A call's layout - each group's row, guide row and scale, each omega > 2
-single's row and delta - depends on its tilts only through each term's
-group column and which (row, term) cells have omega <= 2, and a chain's
-calls repeat a few layouts. So `pig_sample_with_tilts` keeps the 16 layouts
+A call's layout - each group's row, guide row and scale, each single's row
+and delta - depends on its tilts only through each term's group column and
+which (row, term) cells are within the split, and a chain's calls repeat a
+few layouts. So `pig_sample_with_tilts` keeps the 16 layouts
 last used (`_LayoutCache`) and looks each call's up by those; a layout of
 more than 8192 entries is built on every call. Which layout is found never
 changes a draw. A rejection pass after the first gives each of P pending
@@ -93,6 +93,7 @@ _POW2 = 2 ** np.arange(_MAX_LEVEL + 1)
 # Buckets of the uniform per group size in the order draw's guide table: a
 # power of two, so u * _GUIDE and the bucket ends j / _GUIDE are exact.
 _GUIDE = 2**12
+_GUIDE_0D = np.array(float(_GUIDE))  # 0-d: see `_tail_start`
 
 # g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
 _ORDER_CDFS = {}
@@ -294,7 +295,7 @@ def _order_shapes(u, guide_at, groups):
     `guide_at`: equal to `_order_cdf(g).searchsorted(u, side="right") + 0.5`.
     The guide gives the first position whose cdf exceeds the lower end of
     u's bucket, so the walk forward stops at the first cdf above u."""
-    at = groups.guide[(u * _GUIDE).astype(np.intp) + guide_at]
+    at = groups.guide[(u * _GUIDE_0D).astype(np.intp) + guide_at]
     walk = (groups.cdf[at] <= u).nonzero()[0]
     while walk.size:
         at[walk] += 1
@@ -316,7 +317,8 @@ def _group_proposals(guide_at, scale, groups, rng):
 
 def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     """One tilted g-sum per entry, scale g^2 delta^2/2, of the size whose
-    guide row starts at `guide_at` (none: every g = 1).
+    guide row starts at `guide_at` (none: every g = 1), at -tilt^2/2 =
+    `neg_half_tilt2` (per entry, or 0-d for one shared tilt).
 
     A proposal (`_group_proposals`) is kept with probability
     exp(-tilt^2 x/2). The first pass makes one proposal per entry; a later
@@ -326,6 +328,7 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     ends the loop; many get about `_RETRY_BUDGET` proposals in all, as their
     pass costs more per proposal than per pass.
     """
+    shared = neg_half_tilt2.ndim == 0
     out = _group_proposals(guide_at, scale, groups, rng)
     accept = neg_half_tilt2 * out
     np.exp(accept, out=accept)
@@ -337,23 +340,22 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
                      else groups.sizes[guide_at[todo] // (_GUIDE + 1)])
             raise rejection_cap_error(
                 "P-IG grouped tilt rejection", todo.size, group=group,
-                chi=np.sqrt(2.0 * scale[todo]) / group,
-                tilt=np.sqrt(-2.0 * neg_half_tilt2[todo]))
+                chi=np.sqrt(2.0 * scale[todo]) / group, tilt=np.sqrt(
+                    -2.0 * (neg_half_tilt2 if shared else neg_half_tilt2[todo])))
         each = min(_RETRY_PROPOSALS, -(-_RETRY_BUDGET // todo.size))
-        rep = todo.repeat(each)
+        rep = todo if each == 1 else todo.repeat(each)
         x = _group_proposals(None if guide_at is None else guide_at[rep],
                              scale[rep], groups, rng)
-        accept = neg_half_tilt2[rep]
-        accept *= x
-        keep = rng.random(rep.size) <= np.exp(accept, out=accept)
-        # the first accepted proposal of each entry (its first if none is)
-        first = keep.reshape(-1, each).argmax(axis=1)
-        first += np.arange(0, rep.size, each)
-        hit = keep[first]
+        accept = x * (neg_half_tilt2 if shared else neg_half_tilt2[rep])
+        hit = rng.random(rep.size) <= np.exp(accept, out=accept)
+        if each > 1:  # the first accepted proposal of each entry (its first if none is)
+            first = hit.reshape(-1, each).argmax(axis=1)
+            first += np.arange(0, rep.size, each)
+            hit, x = hit[first], x[first]
         if np.count_nonzero(hit) == hit.size:  # the pass ends the loop
-            out[todo] = x[first]
+            out[todo] = x
             return out
-        out[todo[hit]] = x[first[hit]]
+        out[todo[hit]] = x[hit]
         todo = todo[~hit]
         passes += 1
     return out
@@ -362,11 +364,13 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
 def _ladder_constants(deltas, copies):
     """What `_ladder_sums` reads of a ladder and a copy count: the deltas,
     the omega-split limits split / delta_k, the copies, their groups, the
-    (size, term) table of scales g^2 delta_k^2 / 2 and the smallest limit."""
+    (size, term) table of scales g^2 delta_k^2 / 2, the smallest limit and
+    the copies as a 0-d float (see `_tail_start`)."""
     groups = _group_table(copies)
     limit = _OMEGA_SPLIT / deltas
     return (deltas, limit, copies, groups,
-            np.multiply.outer(groups.half_square, deltas**2), limit.min())
+            np.multiply.outer(groups.half_square, deltas**2), limit.min(),
+            np.array(float(copies)))
 
 
 @lru_cache(maxsize=16)
@@ -378,20 +382,20 @@ def _ladder(shift, trunc_terms, copies):
 
 class _Layout(NamedTuple):
     """Where a call's draws go, read from its shape and not from its tilts:
-    grouped entries in (size, row, term) order, then omega > 2 singles."""
+    grouped entries in (size, row, term) order, then the singles."""
 
     row: np.ndarray  # each entry's row, the index `np.bincount` sums over
     grouped: int  # entries that are groups; the rest are singles
     guide_at: np.ndarray | None  # each group's guide row (`_order_shapes`), int32
     scale: np.ndarray  # each group's g^2 delta^2 / 2
-    delta: np.ndarray  # delta of each omega > 2 cell, whose `copies` singles follow
+    delta: np.ndarray  # delta of each cell above the split; its `copies` singles follow
 
 
 def _columns(tilts, ladder):
     """Each term's column of the group table (`_group_table`): sized at its
     largest omega <= the split among the rows; a term with no tilt within
     its limit reads the largest, which gives single copies."""
-    deltas, limit, _, groups, _, _ = ladder
+    deltas, limit, _, groups, _, _, _ = ladder
     top = np.sort(tilts)
     top = top[top.searchsorted(limit, side="right") - 1] * deltas
     return groups.bound.searchsorted(np.log1p(top) - top, side="right")
@@ -401,7 +405,7 @@ def _entry_layout(rows, keep, col, ladder):
     """The `_Layout` of the (row, term) cells in `keep` (None: all of them)
     drawn in groups of the sizes of their term's column, the others as
     `copies` singles."""
-    deltas, _, copies, groups, scales, _ = ladder
+    deltas, _, copies, groups, scales, _, _ = ladder
     if keep is None:
         keep = np.ones((rows, deltas.size), dtype=bool)
     lo, hi = groups.low[col.min()], col.max() + 1  # sizes in use; low rises with c
@@ -458,13 +462,14 @@ _LAYOUTS = _LayoutCache(_LAYOUT_SLOTS, _LAYOUT_ENTRIES)
 def _ladder_sums(ladder, tilts, rng, key=None):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
     per tilt: grouped draws, then single `gig_rvs` draws where omega =
-    delta_k * tilt_i > `_OMEGA_SPLIT`, summed in draw order. With a ladder
-    `key`, the layout is looked up in `_LAYOUTS` by the key, the row count,
+    delta_k * tilt_i > `_OMEGA_SPLIT`, summed by `np.bincount` in draw
+    order (one row: `np.add.reduce`). With a ladder `key`, the layout is
+    looked up in `_LAYOUTS` by the key, the row count,
     each term's column and which cells are grouped (None: every cell, when
     no tilt exceeds the smallest limit, so each term's top tilt is the
     largest). A layout has at least one entry a cell, so a call of more
     cells than the cache keeps entries builds its own without a key."""
-    deltas, limit, copies, groups, _, lowest = ladder
+    deltas, limit, copies, groups, _, lowest, _ = ladder
     top = tilts.max()
     if not top < np.inf:  # false for a NaN too
         raise ValueError("tilts must be finite")
@@ -480,11 +485,15 @@ def _ladder_sums(ladder, tilts, rng, key=None):
         layout = _LAYOUTS.get((*key, tilts.size, col.tobytes(),
                                None if keep is None else keep.tobytes()), *cells)
     row, n = layout.row, layout.grouped
-    draws = _grouped_rejection(layout.guide_at, layout.scale,
-                               (-0.5 * tilts**2)[row[:n]], groups, rng)
+    one_row = tilts.size == 1  # 0-d tilt factors, with no gather over `row`
+    neg = -0.5 * tilts**2
+    neg = neg.reshape(()) if one_row else neg[row[:n]]
+    draws = _grouped_rejection(layout.guide_at, layout.scale, neg, groups, rng)
     if n < row.size:
-        one = gig_rvs(layout.delta.repeat(copies), tilts[row[n:]], rng)
-        draws = np.concatenate((draws, one))
+        single = tilts if one_row else tilts[row[n:]]
+        draws = np.concatenate((draws, gig_rvs(layout.delta.repeat(copies), single, rng)))
+    if one_row:
+        return np.add.reduce(draws, keepdims=True)
     return np.bincount(row, draws, minlength=tilts.size)
 
 
@@ -520,7 +529,7 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
         for lo in chunks:
             body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng, key)
     tail = _tail_mean_ladder(params.shift, kt, tilts)
-    return body.reshape(tilts.shape) + copies * tail
+    return body.reshape(tilts.shape) + ladder[-1] * tail
 
 
 def pig_sample(params, config, rng, size=None):

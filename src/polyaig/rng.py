@@ -12,8 +12,9 @@ omega = chi*tilt. It is exact in three branches:
 * tilt == 0      -> inverted gamma draw (chi^2/2) / Gamma(3/2),
 * omega <= `_OMEGA_SPLIT` -> that draw tilted by exp(-tilt^2 x/2), by
   rejection,
-* otherwise      -> 1/Y with Y ~ GIG(3/2), drawn without rejection as an
-  inverse Gaussian plus a gamma variate.
+* otherwise      -> 1/Y with Y ~ GIG(3/2), drawn without rejection from an
+  inverse Gaussian (Michael, Schucany & Haas, 1976), an exponential and,
+  with probability 1/(1 + omega), a squared normal.
 
 All branches are exact; only their expected cost differs.
 """
@@ -27,19 +28,22 @@ from scipy import special as _sp
 BIT_GENERATOR = "PCG64"
 
 # GIG tilt rejection serves omega = chi*tilt up to this value, where it
-# accepts with probability (1 + omega) e^-omega >= 3 e^-2 ~ 0.41; above it
-# the rejection-free draw costs less.
-_OMEGA_SPLIT = 2.0
+# accepts with probability (1 + omega) e^-omega >= 2/e ~ 0.74. Measured
+# break-even: per draw, a one-copy P-IG group's tilt rejection costs what the
+# rejection-free draw costs near omega 0.7-0.8, and a call's rejection-free
+# draws add about 20 us fixed, so gamma-shape P-IG calls are fastest at 0.8-1.2.
+_OMEGA_SPLIT = 1.0
 
 # Standardized truncation point beyond which the truncated-normal sampler
 # switches from inverse-CDF to exponential-tilt tail rejection.
 _TN_TAIL_CUTOFF = 4.0
+_TN_TAIL_CUTOFF_0D = np.array(_TN_TAIL_CUTOFF)  # numpy compares arrays with it faster
 
 # Pass cap of every vectorized rejection loop; reaching it raises. The GIG
-# tilt rejections accept a pending entry with probability at least 0.41 per
-# pass (omega <= 2), the normal tail above 0.97 and the inverse CDF's redraw
-# of an exact 0.0 uniform all but surely, so a correct draw outlasts the cap
-# with probability below 1e-1000.
+# tilt rejections accept a pending entry with probability at least 1/2 per
+# pass (one copy within the split 0.74, a P-IG group of more 1/2), the normal
+# tail above 0.97 and the inverse CDF's redraw of an exact 0.0 uniform all
+# but surely, so a correct draw outlasts the cap with probability below 1e-1000.
 MAX_REJECTION_PASSES = 10_000
 
 
@@ -164,7 +168,7 @@ def truncated_normal_sample(mean, variance, lower, rng, size=None):
         return float(out[0]) if size is None else out
     if size is not None:
         raise ValueError("size needs scalar mean, variance and lower")
-    tail = a > _TN_TAIL_CUTOFF
+    tail = a > _TN_TAIL_CUTOFF_0D
     n_tail = np.count_nonzero(tail)
     if n_tail == 0:
         z = _tn_inverse_cdf(a, rng, a.shape)
@@ -199,20 +203,29 @@ def _tilt_rejection(chi, tilt, rng):
     return out
 
 
-def _inverse_size_biased(chi, tilt, rng):
-    """GIG(-3/2, chi, tilt) without rejection, for omega = chi*tilt > 2.
+def _inverse_size_biased(chi, omega, rng):
+    """GIG(-3/2, chi, tilt) without rejection, for omega = chi*tilt above
+    the split, in the shape of `omega` (to which `chi` broadcasts).
 
-    1/X ~ GIG(3/2), density y^(1/2) exp{-(chi^2 y + tilt^2/y)/2}: GIG(1/2)
-    size-biased. GIG(1/2) = IG(mean tilt/chi, shape tilt^2) + Gamma(1/2, rate
-    chi^2/2), and size-biasing a sum size-biases one term, picked in
-    proportion to its mean: the IG (IG + Gamma(1/2)) with probability
-    omega/(1 + omega), else the gamma (Gamma(3/2)). `wald` is well
-    conditioned here, its mean/shape ratio 1/omega < 1/2.
+    1/X ~ GIG(3/2) is GIG(1/2) = IG(mean tilt/chi, shape tilt^2) +
+    Gamma(1/2, rate chi^2/2) size-biased, which size-biases one term picked
+    in proportion to its mean: the gamma (to Gamma(3/2)) with probability
+    1/(1 + omega), else the IG (to IG + Gamma(1/2)). So chi^2/X = omega V +
+    2E + B Z^2: V ~ IG(1, omega), E ~ Exp(1), B ~ Bernoulli(1/(1 + omega))
+    and Z ~ N(0, 1), drawn only where B = 1. V is Michael, Schucany & Haas's
+    (1976) root of a normal N: with r = N^2/(2 omega) and y = 1 + r +
+    sqrt(r (r + 2)) (no cancellation), 1/y with probability y/(1 + y), else y.
     """
-    omega = chi * tilt
-    half_m = np.where(rng.random(chi.size) * (1.0 + omega) < omega, 1.0, 1.5)
-    gamma = rng.standard_gamma(half_m) * (2.0 / (chi * chi))
-    return 1.0 / (rng.wald(tilt / chi, tilt * tilt) + gamma)
+    z = rng.standard_normal(omega.shape)
+    u = rng.random((2, *omega.shape))
+    r = z * z / (omega + omega)
+    y = 1.0 + r + np.sqrt(r * (r + 2.0))
+    s = np.where(u[0] * (1.0 + y) <= y, omega / y, omega * y)
+    s += 2.0 * rng.standard_exponential(omega.shape)
+    gate = u[1] * (1.0 + omega) >= omega
+    z = rng.standard_normal(np.count_nonzero(gate))
+    s[gate] += z * z
+    return np.divide(chi * chi, s, out=s)
 
 
 def gig_rvs(chi, tilt, rng):
@@ -220,10 +233,13 @@ def gig_rvs(chi, tilt, rng):
     broadcast. Draws the tilt == 0 entries, then the tilt rejection
     entries, then the omega > `_OMEGA_SPLIT` entries, each in index order.
     """
-    chi, tilt = np.broadcast_arrays(np.asarray(chi, float), np.asarray(tilt, float))
-    shape = chi.shape
-    chi, tilt = np.ravel(chi), np.ravel(tilt)
+    chi, tilt = np.asarray(chi, float), np.asarray(tilt, float)
     omega = chi * tilt
+    if np.count_nonzero(omega > _OMEGA_SPLIT) == omega.size:  # no masks
+        return _inverse_size_biased(chi, omega, rng)
+    chi, tilt = np.broadcast_arrays(chi, tilt)
+    shape = chi.shape
+    chi, tilt, omega = np.ravel(chi), np.ravel(tilt), np.ravel(omega)
     out = np.empty(chi.size)
 
     untilted = tilt == 0.0
@@ -235,5 +251,5 @@ def gig_rvs(chi, tilt, rng):
     if fast.any():
         out[fast] = _tilt_rejection(chi[fast], tilt[fast], rng)
     if slow.any():
-        out[slow] = _inverse_size_biased(chi[slow], tilt[slow], rng)
+        out[slow] = _inverse_size_biased(chi[slow], omega[slow], rng)
     return out.reshape(shape)

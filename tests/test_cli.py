@@ -6,6 +6,7 @@ import pytest
 from polyaig.chain import PosteriorSamples
 from polyaig.cli import _pooled_samples, main
 from polyaig.io import parse_reals_csv, read_samples_csv
+from polyaig.rng import _OMEGA_SPLIT
 
 FIXTURE = "data/opioid_deaths.csv"
 
@@ -33,7 +34,7 @@ class TestValidate:
                 if line.startswith("gig-mean")]
         omegas = [float(r[2].split("=")[1]) * float(r[3].split("=")[1])
                   for r in rows]
-        assert min(omegas) <= 2.0 < max(omegas)
+        assert min(omegas) <= _OMEGA_SPLIT < max(omegas)
         assert all(r[-1] == "PASS" for r in rows)
 
     def test_crude_truncation_fails(self, capsys):

@@ -298,9 +298,10 @@ class TestLadderKernel:
 
     @pytest.mark.parametrize("tilt", (4.0, 8.0, 16.0))
     def test_omega_exactly_at_the_split(self, tilt):
-        deltas = 2.0 ** -np.arange(12.0)  # omega = tilt * delta hits 2 exactly
-        assert np.any(tilt * deltas == 2.0)
-        assert np.any(tilt * deltas > 2.0) and np.any(tilt * deltas < 2.0)
+        deltas = _OMEGA_SPLIT * 2.0 ** -np.arange(12.0)
+        omega = tilt * deltas  # hits the split exactly
+        assert np.any(omega == _OMEGA_SPLIT)
+        assert np.any(omega > _OMEGA_SPLIT) and np.any(omega < _OMEGA_SPLIT)
         self.assert_same_law(deltas, np.full(25, tilt))
         self.assert_same_law(deltas, np.array([tilt, 1.0, tilt, 0.0, 2 * tilt]))
 
@@ -313,8 +314,8 @@ class TestLadderKernel:
                                        [0.05, 0.4, 1.3, 1.9],
                                        [2.5, 2.9, 2.1]))
     def test_distinct_tilt_per_row(self, alpha):
-        # rows cycle through per-category tilts, whose omega <= 2 entries
-        # start at different terms or all at one
+        # rows cycle through per-category tilts, whose entries within the
+        # split start at different terms or all at one
         tilts = np.tile(SQRT2 * np.array(alpha), 6)
         self.assert_same_law(_ladder_deltas(PigParams.integer(), 200), tilts)
         self.assert_same_law(_ladder_deltas(PigParams.integer(), 200),
@@ -393,7 +394,7 @@ def _reverse_bessel_polys(g):
     return polys[:g + 1]
 
 
-# (copies, tilt) cases: omega on both sides of 2, one copy per group at
+# (copies, tilt) cases: omega on both sides of the split, one copy per group at
 # copies 1, whole groups at every copy count, and power-of-two groups of
 # 1-32 where a whole group of 36, 61 or 201 would accept less than half its
 # proposals
@@ -401,7 +402,8 @@ GROUP_CASES = [(c, t) for c in (1, 2, 3, 6, 36, 61, 201)
                for t in (0.0, 0.5, 2.8, 27.0)]
 
 # (tilts, copies) of the chains' calls: per category, shared alpha, gamma
-# shape (26.4 reaches the omega > 2 singles), and six single-copy rows
+# shape (2.83 and 26.4 reach the singles above the split), and six
+# single-copy rows
 CHAIN_CALLS = [
     (SQRT2 * np.array([[0.39, 0.44, 0.46, 0.35, 0.41, 0.27]]), 6),  # per category
     (SQRT2 * np.array([[0.05, 0.4, 1.3, 2.0, 7.5, 0.0]]), 6),
@@ -490,7 +492,7 @@ class TestGroupedSums:
             group, row, term = self.recorded_groups(deltas, tilts, copies, monkeypatch)
             # (size, row, term) order
             assert np.array_equal(np.lexsort((term, row, group)), np.arange(group.size))
-            # each cell with omega <= 2 splits its copies into groups, the
+            # each cell within the split splits its copies into groups, the
             # others are single draws
             total = np.zeros(omega.shape, dtype=int)
             np.add.at(total, (row, term), group)
@@ -507,12 +509,13 @@ class TestGroupedSums:
 
     @pytest.mark.parametrize("copies", (6, 36))
     def test_distinct_row_tilts(self, copies, monkeypatch):
-        # each term's groups are sized at the largest omega <= 2 among the
-        # rows, so a row with a smaller tilt draws groups sized for a larger
-        # one: each row's law is still that of `copies` summed single draws
+        # each term's groups are sized at the largest omega within the split
+        # among the rows, so a row with a smaller tilt draws groups sized for
+        # a larger one: each row's law is still that of `copies` summed
+        # single draws
         deltas = _ladder_deltas(PigParams.integer(), 40)
         pattern = SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5])
-        # whole groups, power-of-two groups and omega > 2 terms all occur
+        # whole groups, power-of-two groups and terms above the split all occur
         group, _, _ = self.recorded_groups(deltas, pattern, copies, monkeypatch)
         assert np.any(group == copies) and np.any((group > 1) & (group < copies))
         assert np.any(pattern[:, None] * deltas > _OMEGA_SPLIT)
@@ -673,10 +676,13 @@ class TestGroupedSums:
         # of order
         params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
         # two pairs of calls whose layouts differ in one part of the key:
-        # tilts 1.39 and 2.0 in their columns only, 25.48 and 25.43 (omega
-        # 2.002 and 1.998 at term 9) in their omega <= 2 cells only
-        pairs = [(np.array([1.39]), 61), (np.array([2.0]), 61),
-                 (np.array([25.48]), 201), (np.array([25.43]), 201)]
+        # tilts 1.39 and 1.0 in their columns only, and two tilts with omega
+        # 0.1% above and below the split at term 9 in their cells within
+        # the split only
+        delta_9 = pig._ladder(1.0, 200, 201)[0][8]
+        pairs = [(np.array([1.39]), 61), (np.array([1.0]), 61),
+                 (np.array([_OMEGA_SPLIT * 1.001 / delta_9]), 201),
+                 (np.array([_OMEGA_SPLIT * 0.999 / delta_9]), 201)]
         for (a, copies), (b, _) in (pairs[:2], pairs[2:]):
             ladder = pig._ladder(1.0, 200, copies)
             same_col = np.array_equal(*(pig._columns(t, ladder) for t in (a, b)))
@@ -710,8 +716,8 @@ class TestGroupedSums:
                                   make_rng(rows), copies=3)
             assert len(cache) == min(rows, pig._LAYOUT_SLOTS)
         # above the per-layout cap: more cells than it (2,000 draws at 1000
-        # terms), or fewer cells but more entries (9 omega > 2 terms of 1000
-        # single copies each)
+        # terms), or fewer cells but more entries (the terms above the split,
+        # of 1000 single copies each)
         cache, built = self.recorded_builds(monkeypatch, pig._LAYOUT_SLOTS)
         pig_sample_with_tilts(PigParams.integer(), np.full(2000, 0.5),
                               PigSamplerConfig(trunc_terms=1000), make_rng(1))

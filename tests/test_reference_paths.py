@@ -2,10 +2,14 @@
 code they replaced: equal draws and the generator left in the same state.
 
 * `pig._ladder_sums` keys a call whose tilts are all within the smallest
-  omega-split limit by its columns alone; `general_key_sums` builds every
-  layout from the omega <= split mask and `pig._columns`.
+  omega-split limit by its columns alone, and gives a one-row call 0-d
+  tilt factors; `general_key_sums` builds every layout from the omega <=
+  split mask and `pig._columns`, and gathers a tilt factor per entry.
 * `pig._grouped_rejection` ends at once on a retry pass that accepts every
-  pending entry; `reference_grouped_rejection` runs the general update.
+  pending entry and skips the first-accepted search on a pass of one
+  proposal per entry; `reference_grouped_rejection` runs the general update.
+* `rng.gig_rvs` hands a call whose entries are all above the split
+  straight to its rejection-free branch; `masked_gig_rvs` masks every call.
 * `rng.truncated_normal_sample`'s array path tests for a 0.0 uniform with
   one count and draws its uniforms in the cutoffs' shape;
   `reference_truncated_normal` is the array path before that, and the
@@ -18,14 +22,16 @@ from scipy import special as _sp
 
 from polyaig import dirichlet, pig
 from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
-from polyaig.rng import (_TN_TAIL_CUTOFF, _tn_tail_rejection, gig_rvs, make_rng,
-                         truncated_normal_sample)
+from polyaig import rng as _rng
+from polyaig.rng import (_OMEGA_SPLIT, _TN_TAIL_CUTOFF, _tn_tail_rejection, gig_rvs,
+                         make_rng, truncated_normal_sample)
 from test_pig import CHAIN_CALLS
 
 
 def general_key_sums(ladder, tilts, rng, key=None):
     """`pig._ladder_sums` with each layout built, uncached, from the
-    omega <= split mask and `pig._columns`."""
+    omega <= split mask and `pig._columns`, and a tilt factor gathered for
+    every entry, also in a one-row call."""
     keep = tilts[:, None] <= ladder[1]
     layout = pig._entry_layout(tilts.size, keep, pig._columns(tilts, ladder), ladder)
     row, n = layout.row, layout.grouped
@@ -34,12 +40,15 @@ def general_key_sums(ladder, tilts, rng, key=None):
     if n < row.size:
         one = gig_rvs(layout.delta.repeat(ladder[2]), tilts[row[n:]], rng)
         draws = np.concatenate((draws, one))
+    if tilts.size == 1:  # summed in the order `pig._ladder_sums` sums one row
+        return np.add.reduce(draws, keepdims=True)
     return np.bincount(row, draws, minlength=tilts.size)
 
 
 def reference_grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     """`pig._grouped_rejection` with every pass ending in the general
-    bookkeeping, also the pass that accepts every pending entry."""
+    bookkeeping, also the pass that accepts every pending entry and a pass
+    of one proposal per entry."""
     out = pig._group_proposals(guide_at, scale, groups, rng)
     todo = (rng.random(out.size) > np.exp(neg_half_tilt2 * out)).nonzero()[0]
     while todo.size:
@@ -53,6 +62,26 @@ def reference_grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
         out[todo[hit]] = x[first[hit]]
         todo = todo[~hit]
     return out
+
+
+def masked_gig_rvs(chi, tilt, rng):
+    """`rng.gig_rvs` with every call going through the branch masks."""
+    chi, tilt = np.broadcast_arrays(np.asarray(chi, float), np.asarray(tilt, float))
+    shape = chi.shape
+    chi, tilt = np.ravel(chi), np.ravel(tilt)
+    omega = chi * tilt
+    out = np.empty(chi.size)
+    untilted = tilt == 0.0
+    fast = ~untilted & (omega <= _OMEGA_SPLIT)
+    slow = ~untilted & ~fast
+    if untilted.any():
+        out[untilted] = (chi[untilted] ** 2 / 2.0) / rng.standard_gamma(
+            1.5, size=int(untilted.sum()))
+    if fast.any():
+        out[fast] = _rng._tilt_rejection(chi[fast], tilt[fast], rng)
+    if slow.any():
+        out[slow] = _rng._inverse_size_biased(chi[slow], omega[slow], rng)
+    return out.reshape(shape)
 
 
 def _reference_inverse_cdf(a, rng, n):
@@ -133,6 +162,37 @@ def test_layout_key_matches_the_general_rule(tilts, copies, monkeypatch):
     monkeypatch.setattr(pig, "_grouped_rejection", reference_grouped_rejection)
     want, want_state = run()
     assert np.array_equal(got, want) and got_state == want_state
+
+
+# (chi, tilt) with every omega above the split: 0-d, a P-IG call's singles
+# (a ladder's deltas at one 0-d tilt, the lowest just above the split),
+# broadcast (3, 1) x (1, 4), full (3, 4), and no entries
+ABOVE = np.nextafter(_OMEGA_SPLIT, np.inf)
+GIG_CASES = {
+    "0-d": (np.array(0.5), np.array(9.0)),
+    "singles": ((1.0 / np.arange(1, 10)).repeat(201), np.array(9 * ABOVE)),
+    "broadcast": (np.linspace(0.2, 0.7, 3)[:, None],
+                  np.array([[8.0, 9.0, 40.0, 300.0]])),
+    "full": (np.full((3, 4), 0.5), np.linspace(2 * ABOVE, 80.0, 12).reshape(3, 4)),
+    "empty": (np.zeros(0), np.zeros(0)),
+}
+
+
+@pytest.mark.parametrize("case", GIG_CASES)
+def test_gig_rvs_above_the_split_matches_the_masked_path(case):
+    chi, tilt = GIG_CASES[case]
+    assert np.all(chi * tilt > _OMEGA_SPLIT)
+
+    def run(sample):
+        rng = make_rng(51)
+        draws = [sample(chi, tilt, rng) for _ in range(5)]
+        return draws, rng.bit_generator.state
+
+    got, got_state = run(gig_rvs)
+    want, want_state = run(masked_gig_rvs)
+    assert all(type(a) is type(b) and a.shape == b.shape and np.array_equal(a, b)
+               for a, b in zip(got, want))
+    assert got_state == want_state
 
 
 def _zero_at(index):

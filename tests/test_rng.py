@@ -8,9 +8,10 @@ from scipy import stats
 
 from bessel_oracle import log_bessel_k
 from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
-from polyaig.rng import (_TN_TAIL_CUTOFF, MAX_REJECTION_PASSES, _tn_inverse_cdf,
-                         _tn_tail_rejection, child_rng, dirichlet_log_sample, gig_rvs,
-                         make_rng, truncated_normal_sample)
+from polyaig.rng import (_OMEGA_SPLIT, _TN_TAIL_CUTOFF, MAX_REJECTION_PASSES,
+                         _tn_inverse_cdf, _tn_tail_rejection, child_rng,
+                         dirichlet_log_sample, gig_rvs, make_rng,
+                         truncated_normal_sample)
 
 
 def mcse(x):
@@ -238,7 +239,10 @@ class TestGigSample:
         (-1.5, 1.0, 4.0),     # inverse Gaussian plus gamma, no rejection
         (-1.5, 0.02, 300.0),  # large tilt, small chi
         (-1.5, 2.0, 60.0),    # omega = 120
-        (-1.5, 1.0, 2.01),    # just above the split
+        pytest.param(-1.5, 1.0, _OMEGA_SPLIT * 1.005, id="just-above-the-split"),
+        pytest.param(-1.5, 1.0, _OMEGA_SPLIT * 0.995, id="just-below-the-split"),
+        # omega midway between the split and 2
+        pytest.param(-1.5, 0.5, (_OMEGA_SPLIT + 2.0) / 2.0 / 0.5, id="split-to-2"),
         (-1.5, 0.5, 38.0),    # omega = 19, the largest of a Gamma(20, 5) fit
     ])
     def test_ks_against_scipy_reference_density(self, order, chi, tilt):
@@ -309,27 +313,29 @@ class TestRejectionPassCap:
                                     StuckGenerator(7))
         assert "cutoff 6 to 7)" in str(err.value)
 
-    @pytest.mark.parametrize("tilts", ([1.5] * 3, [1.5, 0.0, 4.0]))
+    @pytest.mark.parametrize("tilts", ([1.4] * 3, [1.4, 0.0, 2.8]))
     def test_pig_ladder_kernel(self, tilts):
-        # single copies: each omega <= 2 term is one group of one copy; an
-        # untilted row is accepted at once, and the omega > 2 term of tilt 4
-        # waits for the rejection
-        pending = 4 * tilts.count(1.5) + 3 * tilts.count(4.0)
+        # single copies: each term within the split (all four of tilt 1.4,
+        # omega 0.99 to 0.25) is one group of one copy; an untilted row is
+        # accepted at once, and term 1 of tilt 2.8 (omega 1.98), above the
+        # split, waits for the rejection
+        pending = 4 * tilts.count(1.4) + 3 * tilts.count(2.8)
         with pytest.raises(ValueError, match=self.passes_message(pending)) as err:
             pig_sample_with_tilts(PigParams.integer(), tilts,
                                   PigSamplerConfig(trunc_terms=4), StuckGenerator(6))
         assert "P-IG grouped tilt rejection" in str(err.value)
-        assert "(group 1, chi 0.176777 to 0.707107, tilt 1.5" in str(err.value)
+        assert "(group 1, chi 0.176777 to 0.707107, tilt 1.4" in str(err.value)
 
     def test_pig_grouped_sums(self):
-        # 33 copies at tilt 1.5: terms 1-3 (omega 1.06, 0.53, 0.35) take
-        # 16 groups of 2, 8 of 4 and 4 of 8, each plus one single draw
+        # 33 copies at tilt 1.4: terms 1-3 (omega 0.99, 0.49, 0.33, all
+        # within the split) take 16 groups of 2, 8 of 4 and 4 of 8, each
+        # plus one single draw; one row, so the tilt factor is 0-d
         with pytest.raises(ValueError, match=self.passes_message(31)) as err:
-            pig_sample_with_tilts(PigParams.integer(), [1.5],
+            pig_sample_with_tilts(PigParams.integer(), [1.4],
                                   PigSamplerConfig(trunc_terms=3), StuckGenerator(8),
                                   copies=33)
         assert "P-IG grouped tilt rejection" in str(err.value)
-        assert "(group 1 to 8, chi 0.235702 to 0.707107, tilt 1.5)" in str(err.value)
+        assert "(group 1 to 8, chi 0.235702 to 0.707107, tilt 1.4)" in str(err.value)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

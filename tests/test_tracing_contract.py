@@ -52,8 +52,8 @@ def test_traced_fits_reach_every_sampler_layer(tmp_path):
     finally:
         tracer.uninstall()
     names = {s[3] for s in tracer.spans}
-    # gig_rvs draws only omega > 2 terms, which these small fits need not
-    # reach
+    # gig_rvs draws only terms above the split, which these small fits
+    # need not reach
     assert {entry[2] for entry in spans.WRAPPED} - names <= {"rng.gig_rvs"}
     assert tracer.variates > 0
 
