@@ -109,7 +109,7 @@ def _check_rows_transform(n_draws, trunc, rng):
     rows = []
     config = PigSamplerConfig(trunc_terms=trunc)
     for c in VALIDATE_TILTS:
-        params = PigParams.integer(c=c)
+        params = PigParams(c)
         draws = pig_sample(params, config, rng, size=n_draws)
         for t in VALIDATE_TS:
             mc, se = mc_transform(draws, t)
@@ -122,7 +122,7 @@ def _check_rows_transform(n_draws, trunc, rng):
 def _check_rows_product(trunc_product=10**6):
     rows = []
     for c in VALIDATE_TILTS:
-        params = PigParams.integer(c=c)
+        params = PigParams(c)
         for t in VALIDATE_TS:
             log_prod = np.log(pig_laplace_product(params, t, trunc_product))
             log_closed = np.log(pig_laplace_closed(params, t))
@@ -147,7 +147,7 @@ def _check_rows_gig(n_draws, rng):
 
 def _check_rows_truncnorm(n_draws, rng):
     tau = np.sqrt(np.pi / 2.0) / 6.0
-    draws = truncated_normal_sample(0.0, tau * tau, 0.0, rng, size=n_draws)
+    draws = truncated_normal_sample(0.0, tau * tau, np.zeros(n_draws), rng)
     se = draws.std(ddof=1) / np.sqrt(n_draws)
     return [("truncnorm-prior-mean K=6", float(draws.mean()), 1.0 / 6.0, 4.0 * se)]
 

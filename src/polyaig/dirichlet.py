@@ -44,7 +44,7 @@ from .rng import (MAX_REJECTION_PASSES, dirichlet_log_sample, make_rng,
 from .special import EULER_GAMMA, log_gamma
 
 _SQRT2 = np.array(np.sqrt(2.0))  # 0-d: see `pig._tail_start`
-_INTEGER_LADDER = PigParams.integer()
+_INTEGER_LADDER = PigParams()
 
 # The alpha kernel's hat joins its two pieces at 1 + _HAT_JOIN_SDS/sqrt(M')
 # times the mode, that many standard deviations of the x^M' e^(-M' x/m)
@@ -209,8 +209,8 @@ def update_w(state, pig_config, rng):
 
 def update_p(state, counts, rng):
     """p_m | alpha, n_m ~ Dirichlet(n_m + alpha) for every unit in one
-    matrix draw, stored in log scale."""
-    return dirichlet_log_sample(counts.counts + state.alpha, rng)[1]
+    matrix draw, kept in the log scale `dirichlet_log_sample` draws it in."""
+    return dirichlet_log_sample(counts.counts + state.alpha, rng)
 
 
 def alpha_coefficients(w, log_p, eta, prior):
@@ -542,10 +542,10 @@ def quadrature_posterior_k2(counts, prior, grid):
 
 def posterior_predictive(samples, draws_per_sample, rng):
     """Simplex draws p* ~ Dirichlet(alpha^(s)), `draws_per_sample` per row,
-    grouped by sample in one matrix draw."""
+    grouped by sample in one log-scale matrix draw and exponentiated."""
     if samples.size == 0:
         raise ValueError("no posterior samples to predict from")
     if draws_per_sample < 1:
         raise ValueError("draws_per_sample must be >= 1")
     conc = np.repeat(samples.draws, draws_per_sample, axis=0)
-    return dirichlet_log_sample(conc, rng)[0]
+    return np.exp(dirichlet_log_sample(conc, rng))

@@ -128,7 +128,8 @@ def update_alpha_shape(state, hyper, rng):
     if not total_w > 0:
         raise ValueError("sum of auxiliaries must be positive")
     mean = (EULER_GAMMA * hyper.b + hyper.log_beta_y) / (2.0 * total_w)
-    return truncated_normal_sample(mean, 1.0 / (2.0 * total_w), -1.0, rng)
+    return float(truncated_normal_sample(np.full(1, mean), 1.0 / (2.0 * total_w),
+                                         -1.0, rng)[0])
 
 
 def run_shape_chain(y, prior, config, rng=None):

@@ -126,14 +126,6 @@ class PigParams:
         if not (np.isfinite(self.shift) and self.shift > 0):
             raise ValueError("ladder shift must be finite and > 0")
 
-    @classmethod
-    def integer(cls, c=0.0):
-        return cls(c=c)
-
-    @classmethod
-    def shifted(cls, shift, c=0.0):
-        return cls(c=c, shift=shift)
-
     @property
     def tilt(self):
         return abs(self.c)
@@ -532,11 +524,9 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
     return body.reshape(tilts.shape) + ladder[-1] * tail
 
 
-def pig_sample(params, config, rng, size=None):
-    """Exact-in-mean P-IG(d, c) draw(s): truncated convolution + tail mean."""
-    n = 1 if size is None else int(size)
-    draws = pig_sample_with_tilts(params, np.full(n, params.tilt), config, rng)
-    return float(draws[0]) if size is None else draws
+def pig_sample(params, config, rng, size):
+    """`size` exact-in-mean P-IG(d, c) draws: truncated convolution + tail mean."""
+    return pig_sample_with_tilts(params, np.full(int(size), params.tilt), config, rng)
 
 
 def mc_transform(draws, t):

@@ -1,7 +1,8 @@
 """Seeded random generation and exact samplers for the base distributions.
 
-Every sampler takes an explicit ``numpy.random.Generator`` and is
-deterministic given (seed, parameters). Parallel chains must use
+Every sampler takes an explicit ``numpy.random.Generator``, is
+deterministic given (seed, parameters) and returns an array of draws
+(`dirichlet_log_sample` in log scale only). Parallel chains must use
 independent child streams (`child_rng`), never a shared stream.
 
 The generalized inverse Gaussian sampler serves the one order that every
@@ -77,7 +78,7 @@ def child_rng(seed, stream):
 
 
 def dirichlet_log_sample(conc, rng):
-    """Dirichlet draw(s) returned as (p, log_p), with log_p computed in log scale.
+    """Dirichlet draw(s) as log_p, computed in log scale throughout.
 
     `conc` is a vector (one draw) or an (M, K) matrix (one draw per row,
     normalized along the last axis). Each component uses the boost identity
@@ -93,41 +94,39 @@ def dirichlet_log_sample(conc, rng):
     u = rng.random(conc.shape)
     if np.count_nonzero(u) == u.size:
         log_u = np.log(u)
-    else:  # an exact 0.0 gives log_p = -inf, p = 0
+    else:  # an exact 0.0 gives log_p = -inf
         with np.errstate(divide="ignore"):
             log_u = np.log(u)
     log_g = np.log(x) + log_u / conc
     top = log_g.max(axis=-1, keepdims=True)
-    log_p = log_g - (top + np.log(np.exp(log_g - top).sum(axis=-1, keepdims=True)))
-    return np.exp(log_p), log_p
+    return log_g - (top + np.log(np.exp(log_g - top).sum(axis=-1, keepdims=True)))
 
 
-def _tn_inverse_cdf(a, rng, n):
-    """Standardized draws from N(0,1) | Z > a by inverse CDF, n of them (a
-    count or a shape); `a` is a scalar or has that many entries."""
-    u = rng.random(n)
+def _tn_inverse_cdf(a, rng):
+    """Standardized draws from N(0,1) | Z > a by inverse CDF, one per entry
+    of the cutoff array `a`."""
+    u = rng.random(a.shape)
     passes = 0
     while np.count_nonzero(u) < u.size:  # keep ndtri off the -inf endpoint
         redo = u == 0.0
         if passes == MAX_REJECTION_PASSES:
             raise rejection_cap_error("truncated-normal inverse CDF", int(redo.sum()),
-                                      cutoff=np.broadcast_to(a, n)[redo])
+                                      cutoff=a[redo])
         passes += 1
         u[redo] = rng.random(int(redo.sum()))
     return -_sp.ndtri(u * _sp.ndtr(-a))
 
 
-def _tn_tail_rejection(a, rng, n):
-    """n standardized draws from N(0,1) | Z > a for large a (Robert's
-    method); `a` is one cutoff for all n draws or has n entries. Every
-    pending draw takes part in each pass."""
-    shared = not isinstance(a, np.ndarray)
+def _tn_tail_rejection(a, rng):
+    """Standardized draws from N(0,1) | Z > a for large a (Robert's method),
+    one per entry of the cutoff vector `a`. Every pending draw takes part in
+    each pass."""
     lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-    out = np.empty(n)
-    todo = np.arange(n)
+    out = np.empty(a.size)
+    todo = np.arange(a.size)
     passes = 0
     while todo.size:
-        cut, rate = (a, lam) if shared else (a[todo], lam[todo])
+        cut, rate = a[todo], lam[todo]
         if passes == MAX_REJECTION_PASSES:
             raise rejection_cap_error("truncated-normal tail rejection",
                                       todo.size, cutoff=cut)
@@ -139,46 +138,34 @@ def _tn_tail_rejection(a, rng, n):
     return out
 
 
-def truncated_normal_sample(mean, variance, lower, rng, size=None):
-    """Exact draw from N(mean, variance) conditioned on value > lower.
+def truncated_normal_sample(mean, variance, lower, rng):
+    """Exact draws from N(mean, variance) conditioned on value > lower.
 
-    Scalar parameters give one float, or `size` draws. Array parameters
-    broadcast against each other and give one draw per entry (`size` must
-    then be None): the inverse-CDF entries first, then the tail entries.
+    The parameters broadcast against each other, at least one of them an
+    array of one or more dimensions (else ValueError, before any draw), and
+    give one draw per entry: the inverse-CDF entries first, then the tail.
     Inverse-CDF for mild truncation; exponential-tilt rejection once the
     standardized cutoff exceeds `_TN_TAIL_CUTOFF` (bounded expected cost
     however deep the tail).
     """
-    if isinstance(variance, np.ndarray):
-        ok = np.isfinite(variance) & (variance > 0)
-        valid = np.count_nonzero(ok) == ok.size
-    else:
-        valid = np.isfinite(variance) and variance > 0
-    if not valid:
+    ok = np.isfinite(variance) & (variance > 0)
+    if np.count_nonzero(ok) != ok.size:
         raise ValueError("variance must be finite and > 0")
     sd = np.sqrt(variance)
     a = (lower - mean) / sd
-    if not isinstance(a, np.ndarray):  # one cutoff (ufuncs return 0-d as scalars)
-        n = 1 if size is None else int(size)
-        if a <= _TN_TAIL_CUTOFF:
-            z = _tn_inverse_cdf(a, rng, n)
-        else:
-            z = _tn_tail_rejection(a, rng, n)
-        out = mean + sd * z
-        return float(out[0]) if size is None else out
-    if size is not None:
-        raise ValueError("size needs scalar mean, variance and lower")
+    if not isinstance(a, np.ndarray):  # ufuncs return 0-d results as scalars
+        raise ValueError("mean, variance or lower must be an array")
     tail = a > _TN_TAIL_CUTOFF_0D
     n_tail = np.count_nonzero(tail)
     if n_tail == 0:
-        z = _tn_inverse_cdf(a, rng, a.shape)
+        z = _tn_inverse_cdf(a, rng)
     elif n_tail == a.size:
-        z = _tn_tail_rejection(a.ravel(), rng, a.size).reshape(a.shape)
+        z = _tn_tail_rejection(a.ravel(), rng).reshape(a.shape)
     else:
         z = np.empty(a.shape)
         mild = ~tail
-        z[mild] = _tn_inverse_cdf(a[mild], rng, a.size - n_tail)
-        z[tail] = _tn_tail_rejection(a[tail], rng, n_tail)
+        z[mild] = _tn_inverse_cdf(a[mild], rng)
+        z[tail] = _tn_tail_rejection(a[tail], rng)
     return mean + sd * z
 
 

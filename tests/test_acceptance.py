@@ -50,7 +50,7 @@ def ks_against_grid_cdf(draws, grid, density):
 def test_criterion_1_untilted_transform_identity():
     """MC transform of 1e5 truncated-convolution draws vs exp(-g t)/Gamma(t+1)."""
     t0 = time.perf_counter()
-    draws = pig_sample(PigParams.integer(), VALIDATION_PIG, make_rng(101),
+    draws = pig_sample(PigParams(), VALIDATION_PIG, make_rng(101),
                        size=10**5)
     ok = True
     for t in (0.5, 1.0, 2.0):
@@ -69,7 +69,7 @@ def test_criterion_2_tilted_transform_and_product_agreement():
     t0 = time.perf_counter()
     ok = True
     for i, c in enumerate((1.0, float(np.sqrt(2.0)), 3.0)):
-        params = PigParams.integer(c=c)
+        params = PigParams(c=c)
         draws = pig_sample(params, VALIDATION_PIG, make_rng(210 + i),
                            size=10**5)
         for t in (0.5, 1.0, 2.0):
@@ -220,8 +220,7 @@ def test_criterion_7_prior_calibration():
     """Truncated-normal prior with tau = (1/K) sqrt(pi/2) has mean 1/K."""
     k = 6
     tau = np.sqrt(np.pi / 2.0) / k
-    draws = truncated_normal_sample(0.0, tau * tau, 0.0, make_rng(77),
-                                    size=10**6)
+    draws = truncated_normal_sample(0.0, tau * tau, np.zeros(10**6), make_rng(77))
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     ok = abs(draws.mean() - 1.0 / k) <= 4.0 * se
     assert report(7, f"prior calibration mean 1/{k}", ok)

@@ -225,6 +225,18 @@ class TestFitGammaShape:
         row, oracle = summary["parameters"][0], summary["meta"]["oracle"]
         assert abs(row["mean"] - oracle["quadrature_mean"]) <= 5 * row["mcse"]
 
+    def test_rerun_byte_identical(self, tmp_path, reals_csv):
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert run_cli("fit-gamma-shape", "--data", str(reals_csv),
+                           "--beta", "2.0", "--iters", "400", "--burnin", "50",
+                           "--thin", "1", "--seed", "9", "--trunc", "128",
+                           "--out", str(out)) == 0
+            outs.append([(out / name).read_bytes() for name in
+                         ("samples.csv", "summary.json", "plot_data.csv")])
+        assert outs[0] == outs[1]
+
     def test_requires_beta(self, reals_csv):
         assert run_cli("fit-gamma-shape", "--data", str(reals_csv)) == 2
 

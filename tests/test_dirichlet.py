@@ -181,7 +181,7 @@ class TestUpdates:
         rng = make_rng(7)
         draws = np.stack([update_w(state, FAST_PIG, rng) for _ in range(30_000)])
         for k, alpha_k in enumerate(state.alpha):
-            truth = _pig_mean(PigParams.integer(c=np.sqrt(2) * alpha_k), FAST_PIG)
+            truth = _pig_mean(PigParams(c=np.sqrt(2) * alpha_k), FAST_PIG)
             col = draws[:, 0, k]
             se = col.std(ddof=1) / np.sqrt(col.size)
             assert abs(col.mean() - truth) <= 4 * se
@@ -195,7 +195,7 @@ class TestUpdates:
         draws = np.stack([update_w(state, FAST_PIG, rng) for _ in range(20_000)])
         assert draws.shape == (20_000, 1, 2)
         for k, alpha_k in enumerate(state.alpha):
-            truth = 3 * _pig_mean(PigParams.integer(c=np.sqrt(2) * alpha_k), FAST_PIG)
+            truth = 3 * _pig_mean(PigParams(c=np.sqrt(2) * alpha_k), FAST_PIG)
             col = draws[:, 0, k]
             se = col.std(ddof=1) / np.sqrt(col.size)
             assert abs(col.mean() - truth) <= 4 * se

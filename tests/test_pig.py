@@ -39,12 +39,12 @@ def _pig_mean(params, config=PigSamplerConfig()):
 
 class TestParams:
     def test_rules(self):
-        assert np.array_equal(PigParams.integer().d_values(4), [1, 2, 3, 4])
-        assert np.array_equal(PigParams.shifted(2.5).d_values(3), [2.5, 3.5, 4.5])
+        assert np.array_equal(PigParams().d_values(4), [1, 2, 3, 4])
+        assert np.array_equal(PigParams(shift=2.5).d_values(3), [2.5, 3.5, 4.5])
 
     def test_shift_positive(self):
         with pytest.raises(ValueError):
-            PigParams.shifted(0.0)
+            PigParams(shift=0.0)
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
@@ -58,42 +58,42 @@ class TestParams:
     @pytest.mark.parametrize("bad", (2.5, 3.0))
     def test_non_integer_terms_refused(self, bad):
         with pytest.raises(ValueError, match="terms must be an integer"):
-            PigParams.integer().d_values(bad)
+            PigParams().d_values(bad)
 
 
 class TestLaplaceProduct:
     def test_unit_at_zero(self):
-        assert pig_laplace_product(PigParams.integer(), 0.0, 50) == 1.0
+        assert pig_laplace_product(PigParams(), 0.0, 50) == 1.0
 
     def test_truncated_product_approaches_closed_form(self):
-        val = pig_laplace_product(PigParams.integer(), 1.0, 10**5)
+        val = pig_laplace_product(PigParams(), 1.0, 10**5)
         assert val == pytest.approx(np.exp(-EULER_GAMMA), abs=1e-4)
 
     def test_tilted_unit_at_zero(self):
-        val = pig_laplace_product(PigParams.integer(c=SQRT2), 0.0, 10**5)
+        val = pig_laplace_product(PigParams(c=SQRT2), 0.0, 10**5)
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_in_terms(self):
-        params = PigParams.integer(c=0.7)
+        params = PigParams(c=0.7)
         vals = [pig_laplace_product(params, 1.3, n) for n in (10, 100, 1000)]
         assert vals[0] > vals[1] > vals[2]
 
 
 class TestLaplaceClosed:
     def test_untilted_at_one(self):
-        assert pig_laplace_closed(PigParams.integer(), 1.0) == pytest.approx(
+        assert pig_laplace_closed(PigParams(), 1.0) == pytest.approx(
             0.5614594835668851, rel=1e-12)
 
     def test_untilted_at_half_vs_product_oracle(self):
-        closed = pig_laplace_closed(PigParams.integer(), 0.5)
+        closed = pig_laplace_closed(PigParams(), 0.5)
         direct = np.exp(-EULER_GAMMA / 2.0 - log_gamma(1.5))
         assert closed == pytest.approx(direct, rel=1e-12)
-        product = pig_laplace_product(PigParams.integer(), 0.5, 10**6)
+        product = pig_laplace_product(PigParams(), 0.5, 10**6)
         assert closed == pytest.approx(product, abs=1e-5)
 
     def test_tilted_vs_gamma_ratio(self):
         # u = sqrt(2), v = 1: exp(gamma (1 - sqrt2)) Gamma(2)/Gamma(1 + sqrt2)
-        params = PigParams.integer(c=SQRT2)
+        params = PigParams(c=SQRT2)
         direct = np.exp(EULER_GAMMA * (1.0 - SQRT2)
                         + log_gamma(2.0) - log_gamma(1.0 + SQRT2))
         assert pig_laplace_closed(params, 1.0) == pytest.approx(direct, rel=1e-12)
@@ -103,21 +103,21 @@ class TestLaplaceClosed:
     @pytest.mark.parametrize("c", (0.0, 1.0, SQRT2, 3.0))
     @pytest.mark.parametrize("t", (0.5, 1.0, 2.0))
     def test_log_agreement_with_product(self, c, t):
-        params = PigParams.integer(c=c)
+        params = PigParams(c=c)
         log_closed = np.log(pig_laplace_closed(params, t))
         log_product = np.log(pig_laplace_product(params, t, 10**6))
         assert abs(log_closed - log_product) <= 1e-4
 
     @pytest.mark.parametrize("shift", (0.7, 2.5))
     def test_shifted_rule_matches_product(self, shift):
-        params = PigParams.shifted(shift, c=1.1)
+        params = PigParams(c=1.1, shift=shift)
         log_closed = np.log(pig_laplace_closed(params, 0.8))
         log_product = np.log(pig_laplace_product(params, 0.8, 10**6))
         assert abs(log_closed - log_product) <= 1e-4
 
     @pytest.mark.parametrize("c", (0.0, 1.0, 3.0))
     def test_transform_bounds_and_monotonicity(self, c):
-        params = PigParams.integer(c=c)
+        params = PigParams(c=c)
         grid = np.arange(0.0, 4.25, 0.25)
         vals = np.array([pig_laplace_closed(params, t) for t in grid])
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
@@ -130,14 +130,14 @@ class TestLaplaceClosed:
 
 class TestGigTermMean:
     def test_untilted_first_and_tenth(self):
-        assert _gig_term_mean(PigParams.integer(), 1) == pytest.approx(0.5)
-        assert _gig_term_mean(PigParams.integer(), 10) == pytest.approx(0.005)
+        assert _gig_term_mean(PigParams(), 1) == pytest.approx(0.5)
+        assert _gig_term_mean(PigParams(), 10) == pytest.approx(0.005)
 
     def test_tilted_first(self):
-        assert _gig_term_mean(PigParams.integer(c=SQRT2), 1) == pytest.approx(0.25)
+        assert _gig_term_mean(PigParams(c=SQRT2), 1) == pytest.approx(0.25)
 
     def test_matches_bessel_ratio(self):
-        params = PigParams.integer(c=1.7)
+        params = PigParams(c=1.7)
         for k in (1, 2, 17):
             delta = 1.0 / (SQRT2 * k)
             z = delta * 1.7
@@ -148,18 +148,18 @@ class TestGigTermMean:
 class TestTailMean:
     def test_untilted_inverse_k(self):
         cfg = PigSamplerConfig(trunc_terms=1000)
-        val = _pig_tail_mean(PigParams.integer(), cfg)
+        val = _pig_tail_mean(PigParams(), cfg)
         assert val == pytest.approx(0.0005, rel=0.02)
 
     def test_cutoff_at_horizon_keeps_integral_bound(self):
         cfg = PigSamplerConfig(trunc_terms=5000)
-        val = _pig_tail_mean(PigParams.integer(), cfg)
+        val = _pig_tail_mean(PigParams(), cfg)
         assert 0.0 < val <= 1.0 / (2.0 * 5000)
 
     def test_tilt_shrinks_tail(self):
         cfg = PigSamplerConfig(trunc_terms=200)
-        tilted = _pig_tail_mean(PigParams.integer(c=10.0), cfg)
-        untilted = _pig_tail_mean(PigParams.integer(), cfg)
+        tilted = _pig_tail_mean(PigParams(c=10.0), cfg)
+        untilted = _pig_tail_mean(PigParams(), cfg)
         assert tilted < untilted
 
     @pytest.mark.parametrize("c", (0.0, 2.0))
@@ -172,13 +172,13 @@ class TestTailMean:
         else:
             brute = np.sum(delta**2 / (1.0 + delta * c)) \
                 + 1.0 / (2.0 * 3_000_000.5)
-        assert _pig_tail_mean(PigParams.integer(c=c), cfg) == pytest.approx(
+        assert _pig_tail_mean(PigParams(c=c), cfg) == pytest.approx(
             brute, rel=1e-3)
 
 
 class TestSampler:
     def test_support_and_determinism(self):
-        params = PigParams.integer(c=1.0)
+        params = PigParams(c=1.0)
         cfg = PigSamplerConfig(trunc_terms=50)
         a = pig_sample(params, cfg, make_rng(1), size=256)
         b = pig_sample(params, cfg, make_rng(1), size=256)
@@ -187,7 +187,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("c", (0.0, SQRT2))
     def test_mc_transform_matches_closed(self, c):
-        params = PigParams.integer(c=c)
+        params = PigParams(c=c)
         draws = pig_sample(params, PigSamplerConfig(trunc_terms=1000),
                            make_rng(2), size=3 * 10**4)
         for t in (0.5, 1.0, 2.0):
@@ -195,7 +195,7 @@ class TestSampler:
             assert abs(mc - pig_laplace_closed(params, t)) <= 3 * se + 1e-3
 
     def test_tilted_sample_mean_matches_term_sum(self):
-        params = PigParams.integer(c=2.0)
+        params = PigParams(c=2.0)
         draws = pig_sample(params, PigSamplerConfig(trunc_terms=1000),
                            make_rng(3), size=2 * 10**5)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
@@ -206,14 +206,14 @@ class TestSampler:
         t = 1.0
         mcs = []
         for c in (0.5, 2.0):
-            draws = pig_sample(PigParams.integer(c=c), cfg, make_rng(4),
+            draws = pig_sample(PigParams(c=c), cfg, make_rng(4),
                                size=4 * 10**4)
             mcs.append(mc_transform(draws, t))
         (lo, se_lo), (hi, se_hi) = mcs
         assert hi - lo > -3.0 * np.hypot(se_lo, se_hi)
 
     def test_shifted_rule_sampler_matches_its_transform(self):
-        params = PigParams.shifted(2.0, c=1.0)
+        params = PigParams(c=1.0, shift=2.0)
         draws = pig_sample(params, PigSamplerConfig(trunc_terms=800),
                            make_rng(5), size=3 * 10**4)
         mc, se = mc_transform(draws, 1.0)
@@ -221,7 +221,7 @@ class TestSampler:
 
     def test_batch_tilts_shapes(self):
         tilts = np.array([[0.0, 1.0], [2.0, 0.3], [5.0, 90.0]])
-        out = pig_sample_with_tilts(PigParams.integer(), tilts,
+        out = pig_sample_with_tilts(PigParams(), tilts,
                                     PigSamplerConfig(trunc_terms=64), make_rng(7))
         assert out.shape == tilts.shape
         assert np.all(out > 0.0)
@@ -231,15 +231,15 @@ class TestSampler:
         # no tilts: an empty array of their shape, and no variate drawn
         rng = make_rng(3)
         state = rng.bit_generator.state
-        out = pig_sample_with_tilts(PigParams.integer(), np.zeros(shape),
+        out = pig_sample_with_tilts(PigParams(), np.zeros(shape),
                                     PigSamplerConfig(), rng, copies=6)
         assert out.shape == shape
-        none = pig_sample(PigParams.integer(c=1.0), PigSamplerConfig(), rng, size=0)
+        none = pig_sample(PigParams(c=1.0), PigSamplerConfig(), rng, size=0)
         assert none.shape == (0,) and rng.bit_generator.state == state
 
     def test_mean_bias_bounded_by_tail_choice(self):
         # the added tail mean keeps E[draw] exact for any truncation
-        params = PigParams.integer(c=3.0)
+        params = PigParams(c=3.0)
         crude = pig_sample(params, PigSamplerConfig(trunc_terms=5),
                            make_rng(8), size=2 * 10**5)
         se = crude.std(ddof=1) / np.sqrt(crude.size)
@@ -291,10 +291,10 @@ class TestLadderKernel:
 
     def test_untilted_rows_mixed_with_tilted(self):
         tilts = np.array([0.0, 3.0, 0.0, 0.0, 40.0, 0.7, 0.0])
-        self.assert_same_law(_ladder_deltas(PigParams.integer(), 150), tilts)
+        self.assert_same_law(_ladder_deltas(PigParams(), 150), tilts)
 
     def test_all_rows_untilted(self):
-        self.assert_same_law(_ladder_deltas(PigParams.integer(), 50), np.zeros(9))
+        self.assert_same_law(_ladder_deltas(PigParams(), 50), np.zeros(9))
 
     @pytest.mark.parametrize("tilt", (4.0, 8.0, 16.0))
     def test_omega_exactly_at_the_split(self, tilt):
@@ -307,7 +307,7 @@ class TestLadderKernel:
 
     @pytest.mark.parametrize("tilt", (0.5, SQRT2 * 2.0, SQRT2 * 19.0, 300.0))
     def test_one_shared_tilt(self, tilt):
-        self.assert_same_law(_ladder_deltas(PigParams.integer(), 200),
+        self.assert_same_law(_ladder_deltas(PigParams(), 200),
                              np.full(201, tilt))
 
     @pytest.mark.parametrize("alpha", ([0.05, 0.4, 1.3, 2.0, 7.5, 19.0],
@@ -317,12 +317,12 @@ class TestLadderKernel:
         # rows cycle through per-category tilts, whose entries within the
         # split start at different terms or all at one
         tilts = np.tile(SQRT2 * np.array(alpha), 6)
-        self.assert_same_law(_ladder_deltas(PigParams.integer(), 200), tilts)
-        self.assert_same_law(_ladder_deltas(PigParams.integer(), 200),
+        self.assert_same_law(_ladder_deltas(PigParams(), 200), tilts)
+        self.assert_same_law(_ladder_deltas(PigParams(), 200),
                              make_rng(5).uniform(0.0, 60.0, 6))
 
     def test_shifted_ladder(self):
-        deltas = _ladder_deltas(PigParams.shifted(0.3), 120)
+        deltas = _ladder_deltas(PigParams(shift=0.3), 120)
         self.assert_same_law(deltas, np.full(30, 5.0))
         self.assert_same_law(deltas, np.array([0.0, 5.0, 0.2, 11.0]))
 
@@ -335,11 +335,11 @@ class TestLadderKernel:
 
     @pytest.mark.parametrize("tilts", ([0.5], [0.5, 9.0, 0.0, 2.0], [9.0] * 7))
     def test_single_term(self, tilts):
-        self.assert_same_law(_ladder_deltas(PigParams.integer(), 1), tilts)
+        self.assert_same_law(_ladder_deltas(PigParams(), 1), tilts)
 
     def test_chunk_boundary(self, monkeypatch):
         monkeypatch.setattr(pig, "_CHUNK_ELEMENTS", 7 * 50 + 3)  # 7 rows a chunk
-        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=50)
+        params, cfg = PigParams(), PigSamplerConfig(trunc_terms=50)
 
         def public(rows, rng):
             return (pig_sample_with_tilts(params, rows, cfg, rng)
@@ -350,7 +350,7 @@ class TestLadderKernel:
         self.assert_same_law(deltas, np.tile([0.0, 0.9, 6.0, 30.0], 6), public)
 
     def test_public_sampler_matches_the_reference(self):
-        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=80)
+        params, cfg = PigParams(), PigSamplerConfig(trunc_terms=80)
         tilts = np.array([[0.0, 1.0], [2.0, 0.3], [5.0, 90.0]])
 
         def public(rows, rng):
@@ -375,7 +375,7 @@ def test_samplers_reach_gig_rvs_only_above_the_split(monkeypatch, copies):
 
     monkeypatch.setattr(pig, "gig_rvs", recording)
     tilts = np.array([0.0, 0.3, 2.8, 27.0])
-    pig_sample_with_tilts(PigParams.integer(), np.repeat(tilts, 3),
+    pig_sample_with_tilts(PigParams(), np.repeat(tilts, 3),
                           PigSamplerConfig(trunc_terms=200), make_rng(6),
                           copies=copies)
     chi, tilt = (np.concatenate(v) for v in zip(*seen))
@@ -483,7 +483,7 @@ class TestGroupedSums:
         return group, row, term
 
     def test_group_sizes(self, monkeypatch):
-        deltas = _ladder_deltas(PigParams.integer(), 200)
+        deltas = _ladder_deltas(PigParams(), 200)
         for tilts, copies in itertools.product(
                 (SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5]),
                  np.array([0.0, 0.3, 2.8, 27.0])),
@@ -513,7 +513,7 @@ class TestGroupedSums:
         # among the rows, so a row with a smaller tilt draws groups sized for
         # a larger one: each row's law is still that of `copies` summed
         # single draws
-        deltas = _ladder_deltas(PigParams.integer(), 40)
+        deltas = _ladder_deltas(PigParams(), 40)
         pattern = SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5])
         # whole groups, power-of-two groups and terms above the split all occur
         group, _, _ = self.recorded_groups(deltas, pattern, copies, monkeypatch)
@@ -562,7 +562,7 @@ class TestGroupedSums:
 
     @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
     def test_transform_matches_product_power(self, copies, tilt, monkeypatch):
-        params, cfg = PigParams.integer(c=tilt), PigSamplerConfig(trunc_terms=200)
+        params, cfg = PigParams(c=tilt), PigSamplerConfig(trunc_terms=200)
         calls = self.recorded_passes(monkeypatch)
         sums = pig_sample_with_tilts(params, np.full(4000, tilt), cfg,
                                      make_rng(copies), copies=copies)
@@ -577,7 +577,7 @@ class TestGroupedSums:
 
     @pytest.mark.parametrize("copies, tilt", GROUP_CASES)
     def test_moments_match_summed_single_draws(self, copies, tilt, monkeypatch):
-        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=24)
+        params, cfg = PigParams(), PigSamplerConfig(trunc_terms=24)
         n = 1500
         calls = self.recorded_passes(monkeypatch)
         grouped = pig_sample_with_tilts(params, np.full(n, tilt), cfg,
@@ -586,7 +586,7 @@ class TestGroupedSums:
         single = _gig_rvs_row_sums(_ladder_deltas(params, 24),
                                    np.full(n * copies, tilt), make_rng(12))
         single = (single.reshape(n, copies).sum(axis=1)
-                  + copies * _pig_tail_mean(PigParams.integer(c=tilt), cfg))
+                  + copies * _pig_tail_mean(PigParams(c=tilt), cfg))
         if tilt == 0.0:  # infinite variance: compare the laws instead
             assert stats.ks_2samp(grouped, single).pvalue > 1e-3
             return
@@ -616,7 +616,7 @@ class TestGroupedSums:
     @pytest.mark.parametrize("tilts, copies", CHAIN_CALLS)
     def test_outputs_match_the_searchsorted_reference(self, tilts, copies, monkeypatch):
         # same draws and same generator state after them, pass for pass
-        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
+        params, cfg = PigParams(), PigSamplerConfig(trunc_terms=200)
 
         def run():
             rng = make_rng(copies)
@@ -674,7 +674,7 @@ class TestGroupedSums:
         # a cold cache and a warm one give equal draws and leave the
         # generator in the same state, over calls whose layouts repeat out
         # of order
-        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
+        params, cfg = PigParams(), PigSamplerConfig(trunc_terms=200)
         # two pairs of calls whose layouts differ in one part of the key:
         # tilts 1.39 and 1.0 in their columns only, and two tilts with omega
         # 0.1% above and below the split at term 9 in their cells within
@@ -712,23 +712,23 @@ class TestGroupedSums:
         cache, _ = self.recorded_builds(monkeypatch, pig._LAYOUT_SLOTS)
         cfg = PigSamplerConfig(trunc_terms=20)
         for rows in range(1, 2 * pig._LAYOUT_SLOTS):  # a layout per row count
-            pig_sample_with_tilts(PigParams.integer(), np.full(rows, 0.5), cfg,
+            pig_sample_with_tilts(PigParams(), np.full(rows, 0.5), cfg,
                                   make_rng(rows), copies=3)
             assert len(cache) == min(rows, pig._LAYOUT_SLOTS)
         # above the per-layout cap: more cells than it (2,000 draws at 1000
         # terms), or fewer cells but more entries (the terms above the split,
         # of 1000 single copies each)
         cache, built = self.recorded_builds(monkeypatch, pig._LAYOUT_SLOTS)
-        pig_sample_with_tilts(PigParams.integer(), np.full(2000, 0.5),
+        pig_sample_with_tilts(PigParams(), np.full(2000, 0.5),
                               PigSamplerConfig(trunc_terms=1000), make_rng(1))
-        pig_sample_with_tilts(PigParams.integer(), [27.0], PigSamplerConfig(),
+        pig_sample_with_tilts(PigParams(), [27.0], PigSamplerConfig(),
                               make_rng(2), copies=1000)
         assert len(built) == 3 and len(cache) == 0
         assert min(layout.row.size for layout in built) > pig._LAYOUT_ENTRIES
 
     @pytest.mark.parametrize("copies", (7, 40, 300))  # over 256: no whole groups
     def test_shape_determinism_and_domain(self, copies):
-        params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=50)
+        params, cfg = PigParams(), PigSamplerConfig(trunc_terms=50)
         tilts = np.array([[0.0, 1.0], [3.0, 40.0]])
         a = pig_sample_with_tilts(params, tilts, cfg, make_rng(4), copies=copies)
         assert a.shape == tilts.shape and np.all(a > 0.0)
@@ -742,14 +742,14 @@ class TestGroupedSums:
 @given(st.floats(min_value=0.0, max_value=6.0),
        st.floats(min_value=0.0, max_value=4.0))
 def test_closed_form_bounds_property(c, t):
-    val = pig_laplace_closed(PigParams.integer(c=c), t)
+    val = pig_laplace_closed(PigParams(c=c), t)
     assert 0.0 < val <= 1.0
 
 
 @given(st.floats(min_value=0.05, max_value=4.0),
        st.floats(min_value=0.05, max_value=3.0))
 def test_closed_vs_truncated_product_property(c, t):
-    params = PigParams.integer(c=c)
+    params = PigParams(c=c)
     closed = pig_laplace_closed(params, t)
     product = pig_laplace_product(params, t, 20_000)
     assert product == pytest.approx(closed, abs=2e-3)
@@ -758,6 +758,6 @@ def test_closed_vs_truncated_product_property(c, t):
 @given(st.integers(min_value=1, max_value=200),
        st.floats(min_value=0.0, max_value=8.0))
 def test_term_mean_decreases_in_tilt_property(k, c):
-    lo = _gig_term_mean(PigParams.integer(c=c), k)
-    hi = _gig_term_mean(PigParams.integer(c=c + 0.5), k)
+    lo = _gig_term_mean(PigParams(c=c), k)
+    hi = _gig_term_mean(PigParams(c=c + 0.5), k)
     assert hi < lo or lo == pytest.approx(hi)

@@ -105,11 +105,11 @@ def reference_truncated_normal(mean, variance, lower, rng):
     if n_tail == 0:
         z = _reference_inverse_cdf(a.ravel(), rng, a.size).reshape(a.shape)
     elif n_tail == a.size:
-        z = _tn_tail_rejection(a.ravel(), rng, a.size).reshape(a.shape)
+        z = _tn_tail_rejection(a.ravel(), rng).reshape(a.shape)
     else:
         z = np.empty(a.shape)
         z[~tail] = _reference_inverse_cdf(a[~tail], rng, a.size - n_tail)
-        z[tail] = _tn_tail_rejection(a[tail], rng, n_tail)
+        z[tail] = _tn_tail_rejection(a[tail], rng)
     return mean + sd * z
 
 
@@ -144,7 +144,7 @@ KEY_CASES = CHAIN_CALLS + [
 
 @pytest.mark.parametrize("tilts, copies", KEY_CASES)
 def test_layout_key_matches_the_general_rule(tilts, copies, monkeypatch):
-    params, cfg = PigParams.integer(), PigSamplerConfig(trunc_terms=200)
+    params, cfg = PigParams(), PigSamplerConfig(trunc_terms=200)
     cache = pig._LayoutCache(pig._LAYOUT_SLOTS, pig._LAYOUT_ENTRIES)
     monkeypatch.setattr(pig, "_LAYOUTS", cache)
 

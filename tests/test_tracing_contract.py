@@ -119,6 +119,28 @@ def test_one_pig_call_per_shared_tilt_update(tmp_path):
         assert calls == sweeps + 1, args
 
 
+def test_gamma_shape_updates_call_their_rebound_samplers(tmp_path):
+    """`update_alpha_shape` and `update_w_shape` draw through the names that
+    `bench/spans.py` rebinds in `polyaig.gammashape`: one truncated-normal
+    draw per alpha update and one P-IG call per w update (the start state's
+    included), so a name kept only as an unused import fails here."""
+    sweeps = 15
+    reals = tmp_path / "y.csv"
+    reals.write_text("value\n" + "".join(f"{0.5 + 0.1 * i}\n" for i in range(20)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["fit-gamma-shape", "--data", str(reals), "--beta", "2",
+                     "--iters", str(sweeps), "--burnin", "5", "--thin", "1",
+                     "--trunc", "16", "--out", str(tmp_path / "g")]) == 0
+    finally:
+        tracer.uninstall()
+    assert _children(tracer, "gammashape.update_alpha_shape",
+                     "rng.truncated_normal_sample") == [1] * sweeps
+    assert _children(tracer, "gammashape.update_w_shape",
+                     "pig.pig_sample_with_tilts") == [1] * (sweeps + 1)
+
+
 def test_shared_alpha_fit_runs_the_gibbs_sweep(tmp_path):
     """The `--homogeneous` fit runs `gibbs_sweep` once a sweep, and its
     `update_p` draws the whole p matrix in one call."""
