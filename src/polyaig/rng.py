@@ -35,16 +35,12 @@ BIT_GENERATOR = "PCG64"
 # draws add about 20 us fixed, so gamma-shape P-IG calls are fastest at 0.8-1.2.
 _OMEGA_SPLIT = 1.0
 
-# Standardized truncation point beyond which the truncated-normal sampler
-# switches from inverse-CDF to exponential-tilt tail rejection.
-_TN_TAIL_CUTOFF = 4.0
-_TN_TAIL_CUTOFF_0D = np.array(_TN_TAIL_CUTOFF)  # numpy compares arrays with it faster
-
 # Pass cap of every vectorized rejection loop; reaching it raises. The GIG
 # tilt rejections accept a pending entry with probability at least 1/2 per
-# pass (one copy within the split 0.74, a P-IG group of more 1/2), the normal
-# tail above 0.97 and the inverse CDF's redraw of an exact 0.0 uniform all
-# but surely, so a correct draw outlasts the cap with probability below 1e-1000.
+# pass (one copy within the split 0.74, a P-IG group of more 1/2) and the
+# alpha kernel's with at least 1 - 2^-8 (8 proposals, each accepted with
+# probability over 1/2), so a correct draw outlasts the cap with
+# probability below 1e-3000.
 MAX_REJECTION_PASSES = 10_000
 
 
@@ -102,51 +98,17 @@ def dirichlet_log_sample(conc, rng):
     return log_g - (top + np.log(np.exp(log_g - top).sum(axis=-1, keepdims=True)))
 
 
-def _tn_inverse_cdf(a, rng):
-    """Standardized draws from N(0,1) | Z > a by inverse CDF, one per entry
-    of the cutoff array `a`."""
-    u = rng.random(a.shape)
-    passes = 0
-    while np.count_nonzero(u) < u.size:  # keep ndtri off the -inf endpoint
-        redo = u == 0.0
-        if passes == MAX_REJECTION_PASSES:
-            raise rejection_cap_error("truncated-normal inverse CDF", int(redo.sum()),
-                                      cutoff=a[redo])
-        passes += 1
-        u[redo] = rng.random(int(redo.sum()))
-    return -_sp.ndtri(u * _sp.ndtr(-a))
-
-
-def _tn_tail_rejection(a, rng):
-    """Standardized draws from N(0,1) | Z > a for large a (Robert's method),
-    one per entry of the cutoff vector `a`. Every pending draw takes part in
-    each pass."""
-    lam = 0.5 * (a + np.sqrt(a * a + 4.0))
-    out = np.empty(a.size)
-    todo = np.arange(a.size)
-    passes = 0
-    while todo.size:
-        cut, rate = a[todo], lam[todo]
-        if passes == MAX_REJECTION_PASSES:
-            raise rejection_cap_error("truncated-normal tail rejection",
-                                      todo.size, cutoff=cut)
-        passes += 1
-        z = cut + rng.exponential(1.0 / rate, size=todo.size)
-        keep = np.log(rng.random(todo.size)) <= -0.5 * (z - rate) ** 2
-        out[todo[keep]] = z[keep]
-        todo = todo[~keep]
-    return out
-
-
 def truncated_normal_sample(mean, variance, lower, rng):
     """Exact draws from N(mean, variance) conditioned on value > lower.
 
     The parameters broadcast against each other, at least one of them an
     array of one or more dimensions (else ValueError, before any draw), and
-    give one draw per entry: the inverse-CDF entries first, then the tail.
-    Inverse-CDF for mild truncation; exponential-tilt rejection once the
-    standardized cutoff exceeds `_TN_TAIL_CUTOFF` (bounded expected cost
-    however deep the tail).
+    give one draw per entry from one uniform u each, in index order: the
+    inverse CDF z = -ndtri_exp(log1p(-u) + log_ndtr(-a)) at the
+    standardized cutoff a. log1p(-u) is finite for every u in [0, 1), and
+    the log scale keeps the tail mass finite however deep the cutoff, so no
+    uniform is redrawn and no proposal rejected. A draw that rounding puts
+    below `lower` (u near 0) is returned as `lower`.
     """
     ok = np.isfinite(variance) & (variance > 0)
     if np.count_nonzero(ok) != ok.size:
@@ -155,18 +117,9 @@ def truncated_normal_sample(mean, variance, lower, rng):
     a = (lower - mean) / sd
     if not isinstance(a, np.ndarray):  # ufuncs return 0-d results as scalars
         raise ValueError("mean, variance or lower must be an array")
-    tail = a > _TN_TAIL_CUTOFF_0D
-    n_tail = np.count_nonzero(tail)
-    if n_tail == 0:
-        z = _tn_inverse_cdf(a, rng)
-    elif n_tail == a.size:
-        z = _tn_tail_rejection(a.ravel(), rng).reshape(a.shape)
-    else:
-        z = np.empty(a.shape)
-        mild = ~tail
-        z[mild] = _tn_inverse_cdf(a[mild], rng)
-        z[tail] = _tn_tail_rejection(a[tail], rng)
-    return mean + sd * z
+    log_q = np.log1p(-rng.random(a.shape))
+    log_q += _sp.log_ndtr(-a)
+    return np.maximum(mean - sd * _sp.ndtri_exp(log_q), lower)
 
 
 def _tilt_rejection(chi, tilt, rng):

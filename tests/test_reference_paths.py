@@ -10,21 +10,20 @@ code they replaced: equal draws and the generator left in the same state.
   proposal per entry; `reference_grouped_rejection` runs the general update.
 * `rng.gig_rvs` hands a call whose entries are all above the split
   straight to its rejection-free branch; `masked_gig_rvs` masks every call.
-* `rng.truncated_normal_sample`'s array path tests for a 0.0 uniform with
-  one count and draws its uniforms in the cutoffs' shape;
-  `reference_truncated_normal` is the array path before that, and the
-  alpha kernel is checked with it in place.
+* `rng.truncated_normal_sample` computes the inverse CDF in its own
+  log-scale form; `reference_truncated_normal` takes scipy's
+  `truncnorm.ppf` at the same uniforms, and the alpha kernel is checked
+  with it in place. These two agree to rounding, not bit for bit.
 """
 
 import numpy as np
 import pytest
-from scipy import special as _sp
+from scipy import stats
 
 from polyaig import dirichlet, pig
 from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
 from polyaig import rng as _rng
-from polyaig.rng import (_OMEGA_SPLIT, _TN_TAIL_CUTOFF, _tn_tail_rejection, gig_rvs,
-                         make_rng, truncated_normal_sample)
+from polyaig.rng import _OMEGA_SPLIT, gig_rvs, make_rng, truncated_normal_sample
 from test_pig import CHAIN_CALLS
 
 
@@ -84,33 +83,13 @@ def masked_gig_rvs(chi, tilt, rng):
     return out.reshape(shape)
 
 
-def _reference_inverse_cdf(a, rng, n):
-    u = rng.random(n)
-    redo = u == 0.0
-    while redo.any():
-        u[redo] = rng.random(int(redo.sum()))
-        redo = u == 0.0
-    return -_sp.ndtri(u * _sp.ndtr(-a))
-
-
 def reference_truncated_normal(mean, variance, lower, rng):
-    """The array path of `truncated_normal_sample` before the lean one."""
-    ok = np.isfinite(variance) & (variance > 0)
-    if np.count_nonzero(ok) != ok.size:
-        raise ValueError("variance must be finite and > 0")
+    """`truncated_normal_sample` by scipy's truncated-normal inverse CDF,
+    one uniform per entry in index order."""
     sd = np.sqrt(variance)
     a = (lower - mean) / sd
-    tail = a > _TN_TAIL_CUTOFF
-    n_tail = np.count_nonzero(tail)
-    if n_tail == 0:
-        z = _reference_inverse_cdf(a.ravel(), rng, a.size).reshape(a.shape)
-    elif n_tail == a.size:
-        z = _tn_tail_rejection(a.ravel(), rng).reshape(a.shape)
-    else:
-        z = np.empty(a.shape)
-        z[~tail] = _reference_inverse_cdf(a[~tail], rng, a.size - n_tail)
-        z[tail] = _tn_tail_rejection(a[tail], rng)
-    return mean + sd * z
+    u = rng.random(a.shape)
+    return np.maximum(mean + sd * stats.truncnorm.ppf(u, a, np.inf), lower)
 
 
 class Tampered:
@@ -201,9 +180,9 @@ def _zero_at(index):
     return edit
 
 
-# (mean, variance, lower, edit of the first uniforms): all inverse CDF as
-# in the alpha kernel, tail only, mixed cutoffs, an exact 0.0 uniform that
-# the inverse CDF draws again, and no entries
+# (mean, variance, lower, edit of the first uniforms): mild cutoffs as in
+# the alpha kernel, tail only, mixed cutoffs, an exact 0.0 uniform, which
+# draws the cutoff itself to rounding, and no entries
 TN_CASES = {
     "inverse-cdf": (np.zeros((6, 8)), np.full((6, 8), 0.04),
                     np.linspace(-1.0, 0.7, 48).reshape(6, 8), None),
@@ -228,17 +207,20 @@ def test_truncated_normal_matches_the_reference(case):
 
     got, got_state = run(truncated_normal_sample)
     want, want_state = run(reference_truncated_normal)
-    assert np.array_equal(got, want) and got_state == want_state
-    if edit is not None:  # the 0.0 was drawn again, not used
-        assert np.isfinite(got).all()
+    assert np.allclose(got, want, rtol=1e-11, atol=0.0) and got_state == want_state
+    assert np.all(got >= lower)
+    if edit is not None:  # the 0.0 is used, not drawn again
+        assert got[0].flat[5] == pytest.approx(lower.flat[5], rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 0.0, -1.0))
 def test_truncated_normal_refuses_bad_variances(bad):
     variance = np.array([[1.0, bad], [2.0, 3.0]])
-    for sample in (truncated_normal_sample, reference_truncated_normal):
-        with pytest.raises(ValueError, match="^variance must be finite and > 0$"):
-            sample(np.zeros(2), variance, np.zeros((2, 2)), make_rng(0))
+    rng = make_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^variance must be finite and > 0$"):
+        truncated_normal_sample(np.zeros(2), variance, np.zeros((2, 2)), rng)
+    assert rng.bit_generator.state == state
 
 
 def _reject_first_pass(u):
@@ -271,4 +253,4 @@ def test_alpha_kernel_matches_the_reference(case, monkeypatch):
     monkeypatch.setattr(dirichlet, "truncated_normal_sample",
                         reference_truncated_normal)
     want, want_state = run()
-    assert np.array_equal(got, want) and got_state == want_state
+    assert np.allclose(got, want, rtol=1e-11, atol=0.0) and got_state == want_state

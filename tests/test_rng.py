@@ -8,8 +8,7 @@ from scipy import stats
 
 from bessel_oracle import log_bessel_k
 from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
-from polyaig.rng import (_OMEGA_SPLIT, _TN_TAIL_CUTOFF, MAX_REJECTION_PASSES,
-                         _tn_inverse_cdf, _tn_tail_rejection, child_rng,
+from polyaig.rng import (_OMEGA_SPLIT, MAX_REJECTION_PASSES, child_rng,
                          dirichlet_log_sample, gig_rvs, make_rng,
                          truncated_normal_sample)
 
@@ -117,16 +116,19 @@ class TestTruncatedNormal:
         assert np.all(x > a)
         assert abs(x.mean() - truth) <= 4 * mcse(x)
 
-    def test_ks_against_reference(self):
-        mean, var, lower = 1.0, 4.0, 2.0
-        x = truncated_normal_sample(mean, var, np.full(4 * 10**4, lower), make_rng(11))
-        a = (lower - mean) / np.sqrt(var)
+    # standardized cutoffs from below the mean to far past 37.5, where
+    # ndtr(-a) underflows to 0 and only the log scale keeps the tail mass
+    @pytest.mark.parametrize("a", (-5.0, 0.0, 3.0, 4.5, 8.0, 40.0, 200.0))
+    def test_ks_against_reference(self, a):
+        mean, sd = 1.0, 2.0
+        x = truncated_normal_sample(mean, sd * sd, np.full(4 * 10**4, mean + sd * a),
+                                    make_rng(11))
         res = stats.kstest(x, lambda v: stats.truncnorm.cdf(
-            v, a, np.inf, loc=mean, scale=np.sqrt(var)))
+            v, a, np.inf, loc=mean, scale=sd))
         assert res.pvalue > 1e-3
 
     def test_array_parameters_broadcast_across_both_branches(self):
-        # cutoffs -1 and 0.5 take the inverse CDF, 5 and 6 the tail rejection
+        # mild cutoffs -1 and 0.5 and tail cutoffs 5 and 6 in one call
         cut = np.array([-1.0, 0.5, 5.0, 6.0])
         mean = np.array([[0.0], [2.0]])
         x = truncated_normal_sample(mean, 1.0, cut + mean, make_rng(22))
@@ -139,31 +141,40 @@ class TestTruncatedNormal:
             assert abs(many[:, j].mean() - truth[j]) <= 4 * mcse(many[:, j])
 
     @pytest.mark.parametrize("cut", (
-        [[-1.0, 0.5, 3.9], [2.0, -3.0, 3.5]],   # all inverse CDF
-        [[4.5, 6.0, 9.0], [5.0, 12.0, 4.1]],    # all tail rejection
+        [[-1.0, 0.5, 3.9], [2.0, -3.0, 3.5]],   # mild
+        [[4.5, 6.0, 9.0], [5.0, 12.0, 4.1]],    # tail
         [[-1.0, 6.0, 0.5], [5.0, 2.0, 9.0]],    # mixed
     ))
     def test_array_path_matches_masked_draw(self, cut):
-        """The array path draws what a mask over the cutoffs draws: the
-        inverse-CDF entries first, then the tail entries, each in index
-        order, leaving the generator at the same state."""
-        def masked(mean, variance, lower, rng):
-            sd = np.sqrt(variance)
-            a = (lower - mean) / sd
-            z = np.empty(a.shape)
-            tail = a > _TN_TAIL_CUTOFF
-            z[~tail] = _tn_inverse_cdf(a[~tail], rng)
-            if tail.any():
-                z[tail] = _tn_tail_rejection(a[tail], rng)
-            return mean + sd * z
-
+        """The array path draws what drawing its entries one at a time, in
+        index order, draws, and leaves the generator at the same state."""
         mean = np.array([[0.5], [-1.0]])
         variance = np.full((2, 3), 2.0)
         lower = mean + np.sqrt(2.0) * np.array(cut)
         rng_a, rng_b = make_rng(25), make_rng(25)
         drawn = truncated_normal_sample(mean, variance, lower, rng_a)
-        assert np.array_equal(drawn, masked(mean, variance, lower, rng_b))
+        m, v, lo = (np.broadcast_to(x, lower.shape).ravel()
+                    for x in (mean, variance, lower))
+        one_at_a_time = [truncated_normal_sample(m[k:k + 1], v[k:k + 1], lo[k:k + 1],
+                                                 rng_b) for k in range(lo.size)]
+        assert np.array_equal(drawn.ravel(), np.concatenate(one_at_a_time))
         assert rng_a.random() == rng_b.random()
+
+    def test_end_uniforms_give_finite_draws_one_uniform_each(self):
+        # 0.0 and 1 - 2^-53, the ends of `Generator.random`, at cutoffs from
+        # 5 standard deviations below the mean to 1e4 above it
+        a = np.concatenate((np.linspace(-5.0, 50.0, 1101), np.geomspace(50.0, 1e4, 200)))
+        mean, sd = np.full(a.size, 0.5), np.sqrt(2.0)
+        lower = mean + sd * a
+        for value in (0.0, np.nextafter(1.0, 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x = truncated_normal_sample(mean, sd * sd, lower, StuckGenerator(30, value))
+            assert np.isfinite(x).all() and np.all(x >= lower)
+        rng_a, rng_b = make_rng(30), make_rng(30)
+        truncated_normal_sample(mean, sd * sd, lower, rng_a)
+        rng_b.random(a.size)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -265,10 +276,11 @@ class TestGigSample:
 
 
 class StuckGenerator:
-    """A generator whose `random` always returns `value` (1.0: no rejection
-    step ever accepts); every other method is the real generator's."""
+    """A generator whose `random` always returns `value` (1 - 2^-53, the
+    largest it can return: no rejection step accepts short of a perfect
+    proposal); every other method is the real generator's."""
 
-    def __init__(self, seed, value=1.0):
+    def __init__(self, seed, value=np.nextafter(1.0, 0.0)):
         self._rng = make_rng(seed)
         self._value = value
 
@@ -292,25 +304,6 @@ class TestRejectionPassCap:
             gig_rvs(np.array([0.5, 0.3, 0.2]), 1.0, StuckGenerator(1))
         assert "GIG tilt rejection" in str(err.value)
         assert "order -1.5, chi 0.2 to 0.5, tilt 1)" in str(err.value)
-
-    def test_truncated_normal_inverse_cdf(self):
-        # a uniform of exactly 0.0 is redrawn, but not without bound
-        with pytest.raises(ValueError, match=self.passes_message(3)) as err:
-            truncated_normal_sample(0.0, 1.0, np.full(3, 0.5), StuckGenerator(4, 0.0))
-        assert "truncated-normal inverse CDF" in str(err.value)
-        assert "cutoff 0.5)" in str(err.value)
-
-    def test_truncated_normal_tail(self):
-        with pytest.raises(ValueError, match=self.passes_message(4)) as err:
-            truncated_normal_sample(0.0, 1.0, np.full(4, 6.0), StuckGenerator(5))
-        assert "cutoff 6)" in str(err.value)
-
-    def test_truncated_normal_tail_array(self):
-        # the inverse-CDF entry is drawn; both tail entries stay pending
-        with pytest.raises(ValueError, match=self.passes_message(2)) as err:
-            truncated_normal_sample(0.0, 1.0, np.array([6.0, 0.0, 7.0]),
-                                    StuckGenerator(7))
-        assert "cutoff 6 to 7)" in str(err.value)
 
     @pytest.mark.parametrize("tilts", ([1.4] * 3, [1.4, 0.0, 2.8]))
     def test_pig_ladder_kernel(self, tilts):
