@@ -293,11 +293,32 @@ class StuckGenerator:
 
 class TestRejectionPassCap:
     """Every rejection loop stops after MAX_REJECTION_PASSES passes and names
-    the parameters and the number of draws still pending."""
+    the parameters and the number of draws still pending. The truncated normal
+    has no loop: where its old redraw and tail rejection stalled, a stuck
+    generator now gives every draw at once, scipy's `truncnorm.ppf` at the
+    stuck uniform."""
 
     @staticmethod
     def passes_message(n):
         return f"{n} draw\\(s\\) still rejected after {MAX_REJECTION_PASSES} passes"
+
+    def test_truncated_normal_inverse_cdf(self):
+        # a uniform of exactly 0.0 is no longer redrawn: it draws the cutoff,
+        # up to rounding on the side of the support
+        x = truncated_normal_sample(0.0, 1.0, np.full(3, 0.5), StuckGenerator(4, 0.0))
+        assert np.all(x >= 0.5) and np.allclose(x, 0.5, rtol=1e-11, atol=0.0)
+
+    def test_truncated_normal_tail(self):
+        x = truncated_normal_sample(0.0, 1.0, np.full(4, 6.0), StuckGenerator(5))
+        truth = stats.truncnorm.ppf(np.nextafter(1.0, 0.0), 6.0, np.inf)
+        assert np.all(x > 6.0) and np.allclose(x, truth, rtol=1e-11, atol=0.0)
+
+    def test_truncated_normal_tail_array(self):
+        # the mild entry and both tail entries are drawn in the one pass
+        cut = np.array([6.0, 0.0, 7.0])
+        x = truncated_normal_sample(0.0, 1.0, cut, StuckGenerator(7))
+        truth = stats.truncnorm.ppf(np.nextafter(1.0, 0.0), cut, np.inf)
+        assert np.all(x > cut) and np.allclose(x, truth, rtol=1e-11, atol=0.0)
 
     def test_tilt_rejection(self):
         with pytest.raises(ValueError, match=self.passes_message(3)) as err:
