@@ -262,7 +262,7 @@ def cmd_fit_dirichlet(args):
                        rng=child_rng(cfg["seed"], chain))
                 for chain in range(cfg["chains"])]
     samples = _pooled_samples(runs)
-    samples.meta["prior_tau"] = list(prior.tau_vector(counts.n_categories))
+    samples.meta["prior_tau"] = [prior.tau] * counts.n_categories
     return _write_fit(cfg["out"], samples)
 
 

@@ -1,8 +1,9 @@
 """Gibbs samplers for Dirichlet concentration vectors in multinomial-Dirichlet
 models, plus the exact quadrature oracles used to validate them.
 
-Model: alpha_k ~ N(0, tau_k^2) truncated to alpha_k > 0 (independent across
-categories); p_m | alpha ~ Dirichlet(alpha) per unit; n_m | p_m multinomial.
+Model: alpha_k ~ N(0, tau^2) truncated to alpha_k > 0 (independent across
+categories, one tau); p_m | alpha ~ Dirichlet(alpha) per unit; n_m | p_m
+multinomial.
 
 The sampler alternates the conjugate simplex update
 p_m | alpha, n_m ~ Dirichlet(n_m + alpha) with a parameter-expanded draw of
@@ -31,6 +32,7 @@ ground truth.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -66,12 +68,11 @@ _MAX_GRID_DOUBLINGS = 6
 
 @dataclass
 class CountMatrix:
-    """M x K nonnegative count rows with labels and cached row sums."""
+    """M x K nonnegative count rows with labels."""
 
     counts: np.ndarray
     unit_labels: list
     category_labels: list
-    row_sums: np.ndarray
 
     @classmethod
     def from_array(cls, counts, unit_labels=None, category_labels=None):
@@ -81,14 +82,12 @@ class CountMatrix:
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(counts == np.floor(counts)):
                 raise ValueError("counts must be integers")
-            counts = counts.astype(np.int64)
         m, k = counts.shape
         if unit_labels is None:
             unit_labels = [f"unit_{i+1}" for i in range(m)]
         if category_labels is None:
             category_labels = [f"cat_{j+1}" for j in range(k)]
-        return cls(counts.astype(np.int64), list(unit_labels),
-                   list(category_labels), counts.sum(axis=1).astype(np.int64))
+        return cls(counts.astype(np.int64), list(unit_labels), list(category_labels))
 
     def __post_init__(self):
         if self.counts.ndim != 2:
@@ -99,11 +98,13 @@ class CountMatrix:
             raise ValueError("unit labels must match rows")
         if len(self.category_labels) != self.counts.shape[1]:
             raise ValueError("category labels must match columns")
-        if not np.array_equal(self.row_sums, self.counts.sum(axis=1)):
-            raise ValueError("cached row sums disagree with counts")
         if self.counts.shape[0] and np.any(self.row_sums < 1):
             bad = self.unit_labels[int(np.argmin(self.row_sums))]
             raise ValueError(f"unit {bad!r} has an all-zero count row")
+
+    @property
+    def row_sums(self):
+        return self.counts.sum(axis=1)
 
     @property
     def n_units(self):
@@ -116,18 +117,14 @@ class CountMatrix:
 
 @dataclass(frozen=True)
 class AlphaPrior:
-    """Truncated-normal prior alpha_k ~ N(0, tau^2) on alpha_k > 0.
+    """Truncated-normal prior alpha_k ~ N(0, tau^2) on alpha_k > 0, one tau
+    shared by every category; its mean is sqrt(2/pi) * tau."""
 
-    `tau` is a scalar shared across categories or a per-category tuple.
-    The implied prior mean is sqrt(2/pi) * tau.
-    """
-
-    tau: float | tuple = 1.0
+    tau: float = 1.0
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError("tau must be finite and > 0")
+        if not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < np.inf):
+            raise ValueError(f"tau must be one finite number > 0, got {self.tau!r}")
 
     @classmethod
     def for_categories(cls, k):
@@ -140,22 +137,9 @@ class AlphaPrior:
             raise ValueError("mean_alpha must be > 0")
         return cls(tau=float(mean_alpha * np.sqrt(np.pi / 2.0)))
 
-    def tau_vector(self, k):
-        arr = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        if arr.size == 1:
-            return np.full(k, float(arr[0]))
-        if arr.size != k:
-            raise ValueError(f"per-category tau has length {arr.size}, need {k}")
-        return arr.copy()
-
-    def scalar_tau(self):
-        arr = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        if arr.size != 1 and np.ptp(arr) != 0.0:
-            raise ValueError("this operation needs a single shared tau")
-        return float(arr[0])
-
-    def mean_vector(self, k):
-        return np.sqrt(2.0 / np.pi) * self.tau_vector(k)
+    @property
+    def mean(self):
+        return float(np.sqrt(2.0 / np.pi) * self.tau)
 
 
 @dataclass
@@ -218,7 +202,7 @@ def alpha_coefficients(w, log_p, eta, prior):
     which stands for r = K // w.shape[1] categories.
 
     The conditional is proportional to alpha^(M r) exp(-a alpha^2 + b alpha)
-    on alpha > 0 with a_j = (sum of its w_mk) + 1/(2 tau_j^2) and b_j = sum
+    on alpha > 0 with a_j = (sum of its w_mk) + 1/(2 tau^2) and b_j = sum
     over its categories k of (sum_m log eta_m + M * EULER_GAMMA + sum_m log p_mk).
     `w` holds the (M, K) auxiliaries or their (1, K) column totals, or the
     (1, 1) total when alpha is shared.
@@ -227,10 +211,7 @@ def alpha_coefficients(w, log_p, eta, prior):
     if m == 0:
         raise ValueError("alpha update needs at least one unit")
     n = w.shape[1]
-    tau = prior.tau
-    if not isinstance(tau, (int, float)):
-        tau = prior.tau_vector(k) if n == k else prior.scalar_tau()
-    a = np.add.reduce(w) + 1.0 / (2.0 * tau * tau)
+    a = np.add.reduce(w) + 1.0 / (2.0 * prior.tau * prior.tau)
     b = np.add.reduce(log_p) + (float(np.add.reduce(np.log(eta))) + m * EULER_GAMMA)
     return a, b if n == k else b.reshape(n, -1).sum(axis=1)
 
@@ -322,8 +303,12 @@ def modified_half_normal_sample(power, a, b, rng):
         mean, var, lower, upper, k2, k1, k0 = table.take(
             np.where(u[0] < p_body, body, tail), axis=1)
         y = truncated_normal_sample(mean, var, lower, rng)
-        ok = ((np.log(u[1]) < power * (np.log(y) + y * (k2 * y - k1) + k0))
-              & (y <= upper))
+        # log(0) = -inf without a warning: a proposal uniform of 0.0 gives
+        # y = 0, refused at log f = -inf; an acceptance uniform of 0.0
+        # accepts every y > 0
+        with np.errstate(divide="ignore"):
+            ok = ((np.log(u[1]) < power * (np.log(y) + y * (k2 * y - k1) + k0))
+                  & (y <= upper))
         pick = first + ok.argmax(axis=1)
         draw, hit = y.take(pick), ok.take(pick)
         if out is None:
@@ -391,16 +376,14 @@ def run_chain(counts, prior, config, rng=None):
     """Posterior draws of the concentration vector for the full model,
     started at the prior mean."""
     k = counts.n_categories
-    return _run(counts, prior.mean_vector(k), prior, config, rng,
+    return _run(counts, np.full(k, prior.mean), prior, config, rng,
                 [f"alpha_{j+1}" for j in range(k)], "dirichlet-concentration")
 
 
 def run_chain_homogeneous(counts, prior, config, rng=None):
     """Posterior draws for the shared-alpha model (alpha_1 = ... = alpha_K):
-    `gibbs_sweep` with one alpha of shape (1,), started at the prior mean.
-    The prior needs one shared tau."""
-    alpha = np.sqrt(2.0 / np.pi) * np.atleast_1d(prior.scalar_tau())
-    return _run(counts, alpha, prior, config, rng, ["alpha"],
+    `gibbs_sweep` with one alpha of shape (1,), started at the prior mean."""
+    return _run(counts, np.full(1, prior.mean), prior, config, rng, ["alpha"],
                 "dirichlet-concentration-homogeneous")
 
 
@@ -499,13 +482,13 @@ def quadrature_posterior(counts, prior, grid):
     grids with adjacent log-density jumps above 0.5 or a heavy endpoint.
     """
     grid = check_grid(grid)
-    log_f = _homogeneous_log_post(counts, prior.scalar_tau(), grid)
+    log_f = _homogeneous_log_post(counts, prior.tau, grid)
     return normalize_on_grid(grid, log_f)
 
 
 def homogeneous_posterior_grid(counts, prior):
     """`posterior_grid` of the shared-alpha posterior."""
-    return posterior_grid(partial(_homogeneous_log_post, counts, prior.scalar_tau()))
+    return posterior_grid(partial(_homogeneous_log_post, counts, prior.tau))
 
 
 def grid_mean_sd(grid, density):
@@ -530,10 +513,9 @@ def quadrature_posterior_k2(counts, prior, grid):
     if counts.n_categories != 2:
         raise ValueError("this oracle is for K = 2 only")
     grid = check_grid(grid)
-    tau = prior.tau_vector(2)
     a1, a2 = grid[:, None], grid[None, :]
-    log_f = (-0.5 * a1**2 / tau[0] ** 2 + _log_rising_sum(a1, counts.counts[:, 0])
-             - 0.5 * a2**2 / tau[1] ** 2 + _log_rising_sum(a2, counts.counts[:, 1])
+    log_f = (-0.5 * a1**2 / prior.tau**2 + _log_rising_sum(a1, counts.counts[:, 0])
+             - 0.5 * a2**2 / prior.tau**2 + _log_rising_sum(a2, counts.counts[:, 1])
              - _log_rising_sum(a1 + a2, counts.row_sums))
     f = np.exp(log_f - log_f.max())
     z = np.trapezoid(np.trapezoid(f, grid, axis=1), grid)

@@ -62,18 +62,17 @@ class GammaShapePrior:
 
 @dataclass(frozen=True)
 class ShapeHyper:
-    """Updated hyperparameters of the collapsed posterior, in log scale."""
+    """The two values of the collapsed posterior that the sampler and the
+    oracle read."""
 
-    log_a: float        # log a + sum_i log y_i
-    b: int              # b + n
-    c: float            # c + n
-    log_beta_y: float   # log_a + c * log beta
+    b: int              # b' = b + n
+    log_beta_y: float   # log a + sum_i log y_i + (c + n) log beta
 
     def __post_init__(self):
         if self.b < 1:
             raise ValueError("updated b must be >= 1")
-        if not (np.isfinite(self.log_a) and np.isfinite(self.log_beta_y)):
-            raise ValueError("log-scale hyperparameters must be finite")
+        if not np.isfinite(self.log_beta_y):
+            raise ValueError("log beta'_y must be finite")
 
 
 @dataclass
@@ -102,12 +101,8 @@ def shape_hyper(y, prior):
     # sorted before summing so that permutations of y give a bit-identical sum
     log_a = float(np.log(prior.a) + np.sort(np.log(y)).sum())
     c = float(prior.c + n)
-    return ShapeHyper(
-        log_a=log_a,
-        b=int(prior.b + n),
-        c=c,
-        log_beta_y=float(log_a + c * np.log(prior.beta)),
-    )
+    return ShapeHyper(b=int(prior.b + n),
+                      log_beta_y=float(log_a + c * np.log(prior.beta)))
 
 
 def update_w_shape(state, hyper, pig_config, rng):

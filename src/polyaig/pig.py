@@ -430,9 +430,6 @@ class _LayoutCache:
         self._kept = OrderedDict()
         self._lock = Lock()
 
-    def __len__(self):
-        return len(self._kept)
-
     def get(self, key, *cells):
         with self._lock:
             layout = self._kept.get(key)

@@ -157,13 +157,13 @@ def test_criterion_6_alpha_update_coefficients():
     """Alpha-update coefficients (a, b) on a hand-worked state, M=1, K=2.
 
     Expanding the model's joint density of (alpha, p, eta, w): the
-    truncated-normal prior gives exp(-alpha_k^2 / 2 tau_k^2); Dir(p_m | alpha)
+    truncated-normal prior gives exp(-alpha_k^2 / 2 tau^2); Dir(p_m | alpha)
     gives Gamma(sum alpha) / prod Gamma(alpha_k) * prod p_mk^(alpha_k - 1);
     each Gamma(sum alpha) becomes the integrand eta_m^(sum alpha - 1) e^-eta_m;
     and each 1/Gamma(alpha_k) becomes alpha_k e^(EULER_GAMMA alpha_k)
     e^(-alpha_k^2 w_mk) times an alpha-free P-IG density. As a function of
     alpha_k the joint is therefore alpha^M exp(-a alpha^2 + b alpha) with
-    a_k = sum_m w_mk + 1/(2 tau_k^2) and
+    a_k = sum_m w_mk + 1/(2 tau^2) and
     b_k = sum_m log eta_m + M EULER_GAMMA + sum_m log p_mk.
     The counts enter only through p, so here a_1 = 0.5 + 1/2 = 1 and
     b_1 = ln 3 + EULER_GAMMA + ln 0.6 = 1.165002330.

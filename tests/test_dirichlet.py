@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -90,12 +92,6 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="unit_2"):
             CountMatrix.from_array([[1, 2], [0, 0]])
 
-    def test_cached_sums_validated(self):
-        cm = CountMatrix.from_array([[2, 2]])
-        cm.row_sums = np.array([5])
-        with pytest.raises(ValueError):
-            cm.__post_init__()
-
     def test_label_lengths(self):
         with pytest.raises(ValueError):
             CountMatrix.from_array([[1, 2]], unit_labels=["a", "b"])
@@ -114,19 +110,17 @@ class TestCountMatrix:
 class TestAlphaPrior:
     def test_default_mean_is_inverse_k(self):
         prior = AlphaPrior.for_categories(6)
-        assert prior.mean_vector(6)[0] == pytest.approx(1 / 6, rel=1e-12)
-        assert prior.scalar_tau() == pytest.approx(np.sqrt(np.pi / 2) / 6)
+        assert prior.mean == pytest.approx(1 / 6, rel=1e-12)
+        assert prior.tau == pytest.approx(np.sqrt(np.pi / 2) / 6)
 
     def test_from_mean_roundtrip(self):
-        assert AlphaPrior.from_mean(0.25).mean_vector(3)[1] == pytest.approx(0.25)
+        assert AlphaPrior.from_mean(0.25).mean == pytest.approx(0.25)
 
-    def test_vector_tau(self):
-        prior = AlphaPrior(tau=(1.0, 2.0))
-        assert np.array_equal(prior.tau_vector(2), [1.0, 2.0])
-        with pytest.raises(ValueError):
-            prior.tau_vector(3)
-        with pytest.raises(ValueError):
-            prior.scalar_tau()
+    def test_tau_must_be_one_finite_positive_number(self):
+        # one tau serves every category: a sequence or array is refused
+        for tau in ((1.0, 2.0), [1.0, 2.0], np.array([1.0]), np.nan, np.inf, 0, -1):
+            with pytest.raises(ValueError, match=re.escape(f"got {tau!r}")):
+                AlphaPrior(tau=tau)
 
     def test_positive(self):
         with pytest.raises(ValueError):
@@ -151,7 +145,7 @@ class TestMarginalLogLikelihood:
 
 
 def _toy_state(counts, prior, seed=0):
-    return initial_state(counts, prior.mean_vector(counts.n_categories), FAST_PIG,
+    return initial_state(counts, np.full(counts.n_categories, prior.mean), FAST_PIG,
                          make_rng(seed))
 
 
@@ -260,7 +254,7 @@ class TestAlphaCoefficients:
         w = np.array([[0.5, 0.25, 3.0], [1.5, 2.0, 0.125], [0.75, 0.5, 1.0]])
         log_p = np.log(np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.25, 0.25, 0.5]]))
         eta = np.array([1.0, 2.0, 0.5])
-        prior = AlphaPrior(tau=(0.5, 1.0, 2.0))
+        prior = AlphaPrior(tau=0.5)
         a, b = alpha_coefficients(w, log_p, eta, prior)
         a_tot, b_tot = alpha_coefficients(w.sum(axis=0, keepdims=True), log_p, eta, prior)
         assert np.array_equal(a, a_tot) and np.array_equal(b, b_tot)
@@ -393,6 +387,29 @@ class TestAlphaKernel:
                                         StuckGenerator(9))
         assert "modified-half-normal rejection" in str(err.value)
         assert "(M' 6, a 14, b 2 to 3)" in str(err.value)
+
+    def test_zero_uniforms_refuse_the_zero_proposal_without_a_warning(self):
+        # every uniform 0.0: at (M' 6, a 14, b 3) each proposal is the body's
+        # lower bound y = 0, where log f = -inf refuses even an acceptance
+        # uniform of 0.0; log(0) must not warn (RuntimeWarnings are errors here)
+        with pytest.raises(ValueError, match="1 draw\\(s\\) still rejected"):
+            modified_half_normal_sample(6, np.array([14.0]), np.array([3.0]),
+                                        StuckGenerator(9, 0.0))
+
+    def test_zero_truncated_normal_uniforms_leave_only_the_join(self):
+        # 0.0 for the truncated normal's uniforms, the (n, proposals) calls,
+        # and real ones for the piece and acceptance uniforms: body proposals
+        # are y = 0 and refused, tail proposals land on the join rho, where
+        # the hat touches the density, and are accepted
+        class ZeroProposals(StuckGenerator):
+            def random(self, size=None):
+                return super().random(size) if len(size) == 2 else self._rng.random(size)
+
+        a, b = np.array([14.0, 14.0, 1.0]), np.array([3.0, 2.0, -3.0])
+        mode = alpha_hat(6, a, b)[0]
+        draws = modified_half_normal_sample(6, a, b, ZeroProposals(9, 0.0))
+        rho = 1.0 + _HAT_JOIN_SDS / np.sqrt(6)
+        np.testing.assert_allclose(draws, mode * rho, rtol=1e-12)
 
     def test_snapshot_chains_mix(self):
         """Minimum ESS per kept sweep on the snapshot (3000 sweeps, 500
@@ -661,7 +678,7 @@ class TestHomogeneousOracle:
         grid = homogeneous_posterior_grid(counts, prior)
         mean, _ = grid_mean_sd(grid, quadrature_posterior(counts, prior, grid))
         truth = quad_mean(
-            lambda x: _homogeneous_log_post(counts, prior.scalar_tau(), x), grid)
+            lambda x: _homogeneous_log_post(counts, prior.tau, x), grid)
         assert mean == pytest.approx(truth, rel=1e-9)
 
     def test_snapshot_matches_adaptive_quadrature(self):
@@ -670,17 +687,17 @@ class TestHomogeneousOracle:
         grid = homogeneous_posterior_grid(counts, prior)
         mean, _ = grid_mean_sd(grid, quadrature_posterior(counts, prior, grid))
         truth = quad_mean(
-            lambda x: _homogeneous_log_post(counts, prior.scalar_tau(), x), grid)
+            lambda x: _homogeneous_log_post(counts, prior.tau, x), grid)
         assert mean == pytest.approx(truth, rel=1e-9)
 
     @pytest.mark.parametrize("rows", [[[8, 8]] * 6,
                                       [[8, 3], [5, 6], [11, 2], [4, 9], [0, 5]]])
     def test_k2_distinct_count_sums_match_the_per_unit_loop(self, rows):
         counts = CountMatrix.from_array(rows)
-        prior = AlphaPrior(tau=(1.0, 0.6))
+        prior = AlphaPrior(tau=1.0)
         grid = np.geomspace(2e-4, 25.0, 300)
         a1, a2 = grid[:, None], grid[None, :]
-        log_f = -0.5 * a1**2 - 0.5 * a2**2 / 0.36
+        log_f = -0.5 * a1**2 - 0.5 * a2**2
         for n1, n2 in counts.counts:
             log_f = log_f + (log_gamma(a1 + a2) - log_gamma(a1 + a2 + n1 + n2)
                              + log_gamma(n1 + a1) - log_gamma(a1)

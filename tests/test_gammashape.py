@@ -40,26 +40,26 @@ class TestShapeHyper:
     def test_unit_observations(self):
         hyper = shape_hyper([1.0, 1.0], GammaShapePrior(a=1.0, b=1, c=0.0,
                                                         beta=1.0))
-        assert hyper.log_a == 0.0
         assert hyper.b == 3
-        assert hyper.c == 2.0
         assert hyper.log_beta_y == 0.0
+        # c' = c + n = 3 multiplies log beta = 1
+        hyper = shape_hyper([1.0, 1.0], GammaShapePrior(a=1.0, b=1, c=1.0, beta=np.e))
+        assert hyper.log_beta_y == pytest.approx(3.0, rel=1e-12)
 
     def test_exponential_observations(self):
         hyper = shape_hyper([np.e, np.e**2],
                             GammaShapePrior(a=1.0, b=0, c=0.0, beta=np.e))
-        assert hyper.log_a == pytest.approx(3.0, rel=1e-12)
+        # log a + sum log y = 3, plus (c + n) log beta = 2
         assert hyper.b == 2
-        assert hyper.c == 2.0
         assert hyper.log_beta_y == pytest.approx(5.0, rel=1e-12)
 
     def test_log_domain_avoids_overflow(self):
         y = np.full(200, 1.5)
         hyper = shape_hyper(y, GammaShapePrior())
-        assert np.isfinite(hyper.log_a)
-        assert hyper.log_a == pytest.approx(200 * np.log(1.5), rel=1e-12)
+        assert np.isfinite(hyper.log_beta_y)
+        assert hyper.log_beta_y == pytest.approx(200 * np.log(1.5), rel=1e-12)
         extreme = shape_hyper([1e-300, 1e300, 2.0], GammaShapePrior())
-        assert np.isfinite(extreme.log_a) and np.isfinite(extreme.log_beta_y)
+        assert np.isfinite(extreme.log_beta_y)
 
     def test_permutation_invariance_is_bitwise(self):
         rng = make_rng(1)
@@ -76,14 +76,14 @@ class TestShapeHyper:
 
 class TestUpdates:
     def test_w_count_and_support(self):
-        hyper = ShapeHyper(log_a=0.0, b=3, c=2.0, log_beta_y=0.0)
+        hyper = ShapeHyper(b=3, log_beta_y=0.0)
         state = GammaShapeChainState(alpha_tilde=2.0, w=np.empty(3))
         w = update_w_shape(state, hyper, FAST_PIG, make_rng(2))
         assert w.shape == (1,)  # the total of the b' = 3 auxiliaries
         assert np.all(w > 0.0)
 
     def test_w_deterministic(self):
-        hyper = ShapeHyper(log_a=0.0, b=5, c=2.0, log_beta_y=0.0)
+        hyper = ShapeHyper(b=5, log_beta_y=0.0)
         state = GammaShapeChainState(alpha_tilde=0.0, w=np.empty(5))
         a = update_w_shape(state, hyper, FAST_PIG, make_rng(3))
         b = update_w_shape(state, hyper, FAST_PIG, make_rng(3))
@@ -91,7 +91,7 @@ class TestUpdates:
 
     def test_alpha_conditional_is_tn_gamma_half(self):
         # b' = 2, log beta'_y = 0, sum w = 1: TN(EULER_GAMMA, 1/2) above -1
-        hyper = ShapeHyper(log_a=0.0, b=2, c=1.0, log_beta_y=0.0)
+        hyper = ShapeHyper(b=2, log_beta_y=0.0)
         state = GammaShapeChainState(alpha_tilde=0.0, w=np.array([0.4, 0.6]))
         rng = make_rng(4)
         draws = np.array([update_alpha_shape(state, hyper, rng)
@@ -104,7 +104,7 @@ class TestUpdates:
         assert abs(draws.mean() - truth) <= 4 * se
 
     def test_alpha_collapses_when_w_large(self):
-        hyper = ShapeHyper(log_a=0.0, b=4, c=1.0, log_beta_y=2.0)
+        hyper = ShapeHyper(b=4, log_beta_y=2.0)
         state = GammaShapeChainState(alpha_tilde=0.0,
                                      w=np.full(4, 1e8))
         mu = (EULER_GAMMA * 4 + 2.0) / (2.0 * 4e8)

@@ -714,7 +714,7 @@ class TestGroupedSums:
         for rows in range(1, 2 * pig._LAYOUT_SLOTS):  # a layout per row count
             pig_sample_with_tilts(PigParams(), np.full(rows, 0.5), cfg,
                                   make_rng(rows), copies=3)
-            assert len(cache) == min(rows, pig._LAYOUT_SLOTS)
+            assert len(cache._kept) == min(rows, pig._LAYOUT_SLOTS)
         # above the per-layout cap: more cells than it (2,000 draws at 1000
         # terms), or fewer cells but more entries (the terms above the split,
         # of 1000 single copies each)
@@ -723,7 +723,7 @@ class TestGroupedSums:
                               PigSamplerConfig(trunc_terms=1000), make_rng(1))
         pig_sample_with_tilts(PigParams(), [27.0], PigSamplerConfig(),
                               make_rng(2), copies=1000)
-        assert len(built) == 3 and len(cache) == 0
+        assert len(built) == 3 and len(cache._kept) == 0
         assert min(layout.row.size for layout in built) > pig._LAYOUT_ENTRIES
 
     @pytest.mark.parametrize("copies", (7, 40, 300))  # over 256: no whole groups
