@@ -18,7 +18,9 @@ so the auxiliaries w_mk are tilted P-IG draws and each alpha has the
 log-concave conditional alpha^M' exp(-a alpha^2 + b alpha) on alpha > 0,
 the modified-half-normal law, with M' the number of reciprocal gamma
 factors it carries. `modified_half_normal_sample` draws it exactly by
-rejection from a two-piece normal hat whose acceptance has a tested floor.
+rejection: in units of the mode, either of the density's two factors, a
+normal or a gamma density, is a hat, and each alpha takes the one its
+parameters select, which accepts at least 0.6 of its proposals.
 That update reads the auxiliaries only through their sums over the units
 and the categories that share one alpha, and those share one tilt, so the
 chain keeps the sums and draws each as one
@@ -32,12 +34,12 @@ ground truth.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
-from scipy.special import erfcx, expit, ndtr
 
 from .chain import sample_chain
 from .pig import PigParams, pig_sample_with_tilts
@@ -48,11 +50,7 @@ from .special import EULER_GAMMA, log_gamma
 _SQRT2 = np.array(np.sqrt(2.0))  # 0-d: see `pig._tail_start`
 _INTEGER_LADDER = PigParams()
 
-# The alpha kernel's hat joins its two pieces at 1 + _HAT_JOIN_SDS/sqrt(M')
-# times the mode, that many standard deviations of the x^M' e^(-M' x/m)
-# factor right of it, and each pass draws _PROPOSALS_PER_PASS proposals per
-# alpha.
-_HAT_JOIN_SDS = 1.5
+# Each pass of the alpha kernel draws _PROPOSALS_PER_PASS proposals per alpha.
 _PROPOSALS_PER_PASS = 8
 
 # Unnormalized log density of the grid endpoint must sit this far below the
@@ -216,99 +214,49 @@ def alpha_coefficients(w, log_p, eta, prior):
     return a, b if n == k else b.reshape(n, -1).sum(axis=1)
 
 
-@lru_cache(maxsize=16)
-def _hat_shape(power, n):
-    """Everything of the alpha kernel that depends only on the power and
-    the number n of entries. Scalars are 0-d arrays, which numpy combines
-    with small arrays faster than Python floats."""
-    e = _HAT_JOIN_SDS / np.sqrt(power)
-    rho = 1.0 + e
-    kappa = 0.5 / (rho * rho)
-    # in the order `alpha_hat` names them, after the power itself
-    scalars = tuple(np.array(c) for c in (
-        power, 2.0 * power, 2.0 * np.sqrt(power), power / (rho * rho), power / rho,
-        e / _SQRT2, e * power / rho, 0.5 * e * e, power * (e - np.log(rho)) + np.log(2.0),
-        0.0, 1.0, 2.0))
-    # rows: mean, variance, lower bound, largest y served, k2, k1, k0;
-    # columns: the body of each entry, then the tail of each entry
-    table = np.repeat([[1.0, np.nan], [np.nan, np.nan], [0.0, rho], [rho, np.inf],
-                       [kappa, 0.0], [1.0 + 2.0 * kappa, 1.0 / rho],
-                       [1.0 + kappa, 1.0 - np.log(rho)]], n, axis=1)
-    body = np.repeat(np.arange(n)[:, None], _PROPOSALS_PER_PASS, axis=1)
-    first = np.arange(0, n * _PROPOSALS_PER_PASS, _PROPOSALS_PER_PASS)
-    shared = (table, body, body + n, first) + scalars
-    for array in shared:   # every caller gets these same arrays
-        array.setflags(write=False)
-    return scalars, *shared[:4]
-
-
-def alpha_hat(power, a, b):
-    """Two-piece hat of f(x) = x^power exp(-a x^2 + b x) on x > 0, one per
-    entry of `a` and `b`, in units y = x/m of the mode m of f.
-
-    In these units log f(y) - log f(1) = power (log y - y + 1) - g (y - 1)^2/2
-    with g = 2 a m^2. The pieces join at y = rho = 1 + `_HAT_JOIN_SDS`/sqrt(power).
-    The body is the normal N(1, 1/(g + power/rho^2)) on y > 0, and its
-    draws past rho are refused; past rho the tail is the tangent of log f
-    at rho less g (y - rho)^2/2, a normal of variance 1/g on y > rho. Then
-    log(f/hat) = power (log y + y (k2 y - k1) + k0), with (k2, k1, k0) =
-    (kappa, 1 + 2 kappa, 1 + kappa), kappa = 1/(2 rho^2), in the body and
-    (0, 1/rho, 1 - log rho) in the tail.
-
-    Returns m, the probability of the body piece, shape (n, 1), and a
-    (7, 2n) table: for the body of each entry, then for its tail, the
-    normal's mean, variance and lower bound, the largest y the piece
-    serves, then k2, k1 and k0.
-    """
-    (_, power2, root_power2, body_power, pull_power, pull_scale, tail_shift, odds_g,
-     odds_power, zero, one, two), table = _hat_shape(power, a.size)[:2]
-    n = a.size
-    # z = m sqrt(2a) is the positive root of z^2 - beta z - power with
-    # beta = b/sqrt(2a), taken without cancellation; g = z^2
-    root_2a = np.sqrt(two * a)
+def alpha_mode(power, a, b):
+    """Mode m of x^power exp(-a x^2 + b x) on x > 0, per entry, and
+    g = 2 a m^2. z = m sqrt(2a) is the positive root of z^2 - beta z - power,
+    beta = b/sqrt(2a), taken without cancellation; g = z^2."""
+    root_2a = np.sqrt(a + a)
     beta = b / root_2a
-    z = power2 / (np.hypot(beta, root_power2) + np.abs(beta)) + np.maximum(beta, zero)
-    table = table.copy()
-    prec = np.empty(2 * n)   # body precisions, then the tail precisions g
-    g = np.multiply(z, z, out=prec[n:])
-    body_prec = np.add(g, body_power, out=prec[:n])
-    var = np.divide(one, prec, out=table[1])
-    np.subtract(one, tail_shift * var[n:], out=table[0, n:])
-    root_body = np.sqrt(body_prec)
-    # log(body mass / tail mass). The tail's cutoff lies e (g +
-    # power/rho)/z standard deviations deep, and ndtr(-c) =
-    # erfcx(c/sqrt2) exp(-c^2/2)/2 keeps its mass finite however deep.
-    log_odds = odds_power + odds_g * g + np.log(
-        z * ndtr(root_body) / (root_body * erfcx(pull_scale * (g + pull_power) / z)))
-    return z / root_2a, expit(log_odds)[:, None], table
+    z = (2.0 * power / (np.hypot(beta, 2.0 * math.sqrt(power)) + np.abs(beta))
+         + np.maximum(beta, 0.0))
+    return z / root_2a, z * z
 
 
 def modified_half_normal_sample(power, a, b, rng):
     """Exact draws, one per entry of the arrays `a` > 0 and `b`, from the
     density proportional to x^power exp(-a x^2 + b x) on x > 0 (power >= 1).
 
-    Rejection from `alpha_hat`. Each pass draws `_PROPOSALS_PER_PASS`
-    proposals for every entry, all pieces in one `truncated_normal_sample`
-    call, and each entry keeps its first accepted proposal. The hat accepts
-    at least half its proposals (by quadrature over power 1-20000, a
-    0.05-5e4 and mode 1e-4-30), so a second pass is rare;
-    `MAX_REJECTION_PASSES` bounds the loop.
+    In units y = x/m of the mode (`alpha_mode`), log f(y) - log f(1) =
+    power (log y - y + 1) - g (y - 1)^2/2 with both terms <= 0, so either
+    factor alone is a hat. Where g >= power an entry proposes N(1, 1/g) on
+    y > 0 and accepts with (y e^(1-y))^power, elsewhere Gamma(power + 1,
+    rate power) accepted with e^(-g (y-1)^2/2): at least 0.6 of proposals
+    either way (by quadrature over power 1-20000 and g/power 1e-4-1e4).
+    Each pass draws the acceptance uniforms, then `_PROPOSALS_PER_PASS`
+    gamma proposals per entry, replaced for the normal-hat entries by one
+    `truncated_normal_sample` call, and each entry keeps its first accepted
+    proposal. A second pass is rare; `MAX_REJECTION_PASSES` bounds the loop.
     """
-    mode, p_body, table = alpha_hat(power, a, b)
-    scalars, _, body, tail, first = _hat_shape(power, a.size)
-    power = scalars[0]
+    mode, g = alpha_mode(power, a, b)
+    normal = g >= power
+    n_normal, n = np.count_nonzero(normal), a.size
+    # exponents of the factor that each entry's hat leaves out
+    hat_power = np.where(normal, float(power), 0.0)[:, None]
+    hat_g = np.where(normal, 0.0, -0.5 * g)[:, None]
+    var = (1.0 / g[normal])[:, None]
+    first = np.arange(0, n * _PROPOSALS_PER_PASS, _PROPOSALS_PER_PASS)
     out, done = None, None
     for _ in range(MAX_REJECTION_PASSES):
-        u = rng.random((2, a.size, _PROPOSALS_PER_PASS))
-        mean, var, lower, upper, k2, k1, k0 = table.take(
-            np.where(u[0] < p_body, body, tail), axis=1)
-        y = truncated_normal_sample(mean, var, lower, rng)
-        # log(0) = -inf without a warning: a proposal uniform of 0.0 gives
-        # y = 0, refused at log f = -inf; an acceptance uniform of 0.0
-        # accepts every y > 0
-        with np.errstate(divide="ignore"):
-            ok = ((np.log(u[1]) < power * (np.log(y) + y * (k2 * y - k1) + k0))
-                  & (y <= upper))
+        u = rng.random((n, _PROPOSALS_PER_PASS))
+        y = rng.standard_gamma(power + 1.0, u.shape) / power
+        if n_normal:
+            y[normal] = truncated_normal_sample(1.0, var, np.zeros((1, u.shape[1])), rng)
+        # linear scale: a proposal y = 0 gives 0^power = 0, refused even at
+        # an acceptance uniform of 0.0
+        ok = u < (y * np.exp(1.0 - y)) ** hat_power * np.exp(hat_g * (y - 1.0) ** 2)
         pick = first + ok.argmax(axis=1)
         draw, hit = y.take(pick), ok.take(pick)
         if out is None:
@@ -317,7 +265,7 @@ def modified_half_normal_sample(power, a, b, rng):
             new = hit & ~done
             out[new] = draw[new]
             done |= hit
-        if np.count_nonzero(done) == a.size:
+        if np.count_nonzero(done) == n:
             return out * mode
     pending = ~done
     raise rejection_cap_error("modified-half-normal rejection", int(pending.sum()),
@@ -328,7 +276,8 @@ def update_alpha(state, prior, rng):
     """alpha | w, eta, p: one exact draw per alpha from its conditional
     alpha^M' exp(-a alpha^2 + b alpha), M' = M * `per_alpha`, with (a, b)
     from `alpha_coefficients`, by `modified_half_normal_sample`: no slice
-    variable, and one `truncated_normal_sample` call per rejection pass."""
+    variable, and per rejection pass one gamma call, plus one
+    `truncated_normal_sample` call if an alpha takes the normal hat."""
     a, b = alpha_coefficients(state.w, state.log_p, state.eta, prior)
     return modified_half_normal_sample(state.log_p.shape[0] * state.per_alpha, a, b, rng)
 

@@ -38,8 +38,8 @@ _OMEGA_SPLIT = 1.0
 # Pass cap of every vectorized rejection loop; reaching it raises. The GIG
 # tilt rejections accept a pending entry with probability at least 1/2 per
 # pass (one copy within the split 0.74, a P-IG group of more 1/2) and the
-# alpha kernel's with at least 1 - 2^-8 (8 proposals, each accepted with
-# probability over 1/2), so a correct draw outlasts the cap with
+# alpha kernel's with at least 1 - 0.4^8 (8 proposals, each accepted with
+# probability over 0.6), so a correct draw outlasts the cap with
 # probability below 1e-3000.
 MAX_REJECTION_PASSES = 10_000
 

@@ -5,11 +5,13 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+from scipy.special import gammaln, ndtr
 
 from polyaig.chain import ChainConfig, PosteriorSamples
-from polyaig.dirichlet import (_GRID_FLOOR, _GRID_POINTS, _HAT_JOIN_SDS, AlphaPrior,
+from polyaig import dirichlet
+from polyaig.dirichlet import (_GRID_FLOOR, _GRID_POINTS, AlphaPrior,
                                CountMatrix, DirichletChainState,
-                               _homogeneous_log_post, alpha_coefficients, alpha_hat,
+                               _homogeneous_log_post, alpha_coefficients, alpha_mode,
                                gibbs_sweep, grid_cdf,
                                grid_mean_sd, homogeneous_posterior_grid,
                                initial_state, modified_half_normal_sample,
@@ -20,7 +22,7 @@ from polyaig.dirichlet import (_GRID_FLOOR, _GRID_POINTS, _HAT_JOIN_SDS, AlphaPr
                                update_p, update_w)
 from polyaig.io import parse_counts_csv
 from polyaig.pig import PigParams, PigSamplerConfig, _tail_mean_ladder
-from polyaig.rng import MAX_REJECTION_PASSES, make_rng
+from polyaig.rng import MAX_REJECTION_PASSES, make_rng, truncated_normal_sample
 from polyaig.special import EULER_GAMMA, log_gamma
 from polyaig.summarize import batch_means_mcse, effective_sample_size
 from quad_oracle import quad_mean
@@ -303,84 +305,87 @@ def _alpha_log_density(power, a, b):
     return lambda x: power * np.log(x) + x * (b - a * x)
 
 
+def _alpha_cdf(power, a, b):
+    """CDF of the alpha conditional by quadrature on a fine geometric grid."""
+    log_f = _alpha_log_density(power, a, b)
+    coarse = posterior_grid(log_f)
+    grid = np.geomspace(coarse[0], coarse[-1], 16 * (coarse.size - 1) + 1)
+    cdf = grid_cdf(grid, normalize_on_grid(grid, log_f(grid)))
+    return lambda v: np.interp(v, grid, cdf)
+
+
 class TestAlphaKernel:
     """`modified_half_normal_sample` against quadrature of its target, and
-    the hat it draws from against its definition."""
+    the two hats it draws from against their definition."""
 
     @pytest.mark.parametrize("power, a, b", [
         (1, 1.0, -1000.0), (1, 0.05, -1e4), (6, 14.0, 3.0), (36, 40.0, -8.0),
-        (1000, 500.0, -50.0), (6, 0.5, 20.0)])
+        (1000, 500.0, -50.0), (6, 0.5, 20.0), (61, 39.0, -20.0), (201, 20.0, 800.0)])
     def test_draws_match_quadrature(self, power, a, b):
-        log_f = _alpha_log_density(power, a, b)
-        coarse = posterior_grid(log_f)
-        grid = np.geomspace(coarse[0], coarse[-1], 16 * (coarse.size - 1) + 1)
-        cdf = grid_cdf(grid, normalize_on_grid(grid, log_f(grid)))
-        x = modified_half_normal_sample(power, np.full(20_000, a), np.full(20_000, b),
+        # 200,000 draws: KS then sees a 3.5% error in the scale of a draw
+        x = modified_half_normal_sample(power, np.full(200_000, a), np.full(200_000, b),
                                         make_rng(3))
         assert np.all(x > 0.0)
-        assert stats.kstest(x, lambda v: np.interp(v, grid, cdf)).pvalue > 1e-3
+        assert stats.kstest(x, _alpha_cdf(power, a, b)).pvalue > 1e-3
 
-    def test_hat_covers_the_density_and_accepts_at_least_half(self):
-        """Over power 1-20000, a 0.05-5e4 and mode 1e-4-30 the hat lies above
-        the density, its body probability is the body's share of its mass,
-        and the density's mass is at least half the hat's (all in units of
-        the mode, by quadrature)."""
+    def test_one_call_takes_both_hats(self):
+        # g/M' is 1.26 for the first entry (normal hat), 0.43 and 0.006 for
+        # the others (gamma hat); 100,000 of each, interleaved
+        cases = [(14.0, 3.0), (1.0, -3.0), (0.05, -10.0)]
+        a, b = (np.tile([case[i] for case in cases], 100_000) for i in (0, 1))
+        assert list(alpha_mode(6, a[:3], b[:3])[1] >= 6) == [True, False, False]
+        x = modified_half_normal_sample(6, a, b, make_rng(4)).reshape(-1, 3)
+        for j, (aj, bj) in enumerate(cases):
+            assert stats.kstest(x[:, j], _alpha_cdf(6, aj, bj)).pvalue > 1e-3, j
+
+    def test_hats_cover_the_density_and_accept_at_least_0_6(self):
+        """Over power 1-20000 and g/power 1e-4-1e4, just below and just above
+        g = power too, `alpha_mode` recovers the mode (at 1e-4, 1 and 30),
+        the normal hat e^(-g (y-1)^2/2) and the gamma hat (y e^(1-y))^power
+        each lie above the density, and the hat the kernel takes (normal
+        where g >= power) holds at most 1/0.6 times its mass (all in units
+        of the mode, by quadrature). The worst is 0.6065, at power 1 and g
+        just below 1."""
         worst = 1.0
         for power in (1, 2, 6, 36, 1000, 20_000):
-            rho = 1.0 + _HAT_JOIN_SDS / np.sqrt(power)
-            for a in np.geomspace(0.05, 5e4, 7):
-                for mode in np.geomspace(1e-4, 30.0, 7):
+            for ratio in (*np.geomspace(1e-4, 1e4, 9), 1.0 - 1e-6, 1.0 + 1e-6):
+                for mode in (1e-4, 1.0, 30.0):
+                    a = ratio * power / (2.0 * mode * mode)
                     b = 2.0 * a * mode - power / mode
-                    m, p_body, table = alpha_hat(power, np.array([a]), np.array([b]))
+                    m, g = alpha_mode(power, np.array([a]), np.array([b]))
                     assert m[0] == pytest.approx(mode, rel=1e-9)
-                    g = 2.0 * a * mode * mode
-                    body_prec = g + power / rho**2
-                    slope = power * (1.0 / rho - 1.0) - g * (rho - 1.0)
+                    assert g[0] == pytest.approx(ratio * power, rel=1e-9)
+                g = g[0]
+                if ratio != 1.0:  # at ratio 1, g lands on either side by rounding
+                    assert (g >= power) == (ratio > 1.0)
 
-                    def log_f(y):
-                        return power * (np.log(y) - y + 1.0) - 0.5 * g * (y - 1.0) ** 2
+                def log_f(y):
+                    return power * (np.log(y) - y + 1.0) - 0.5 * g * (y - 1.0) ** 2
 
-                    def log_body(y):
-                        return -0.5 * body_prec * (y - 1.0) ** 2
+                # left of 1 the curvature is at least power + g, right of it
+                # the density falls at least as fast as either hat
+                lo = max(0.0, 1.0 - 40.0 / np.sqrt(power + g))
+                hi = 1.0 + 60.0 / np.sqrt(max(power, g))
+                y = np.concatenate([np.linspace(lo, 1.0, 400)[1:], np.linspace(1.0, hi, 400)])
+                log_normal = -0.5 * g * (y - 1.0) ** 2
+                log_gamma_hat = power * (np.log(y) - y + 1.0)
+                for log_hat in (log_normal, log_gamma_hat):
+                    assert np.all(log_f(y) <= log_hat + 1e-12 * np.maximum(1.0, -log_hat))
 
-                    def log_tail(y):
-                        d = y - rho
-                        return log_f(rho) + slope * d - 0.5 * g * d * d
-
-                    assert np.allclose(table[:4].ravel(), [
-                        1.0, rho + slope / g, 1.0 / body_prec, 1.0 / g, 0.0, rho,
-                        rho, np.inf], rtol=1e-12)
-                    reach = 60.0 / (abs(slope) + np.sqrt(g))
-                    y = np.concatenate([np.linspace(1e-6, rho, 400),
-                                        rho + np.geomspace(1e-9, 1.0, 400) * reach])
-                    hat = np.where(y <= rho, log_body(y), log_tail(y))
-                    assert np.all(log_f(y) <= hat + 1e-9 * np.maximum(1.0, -hat))
-                    # the kernel's acceptance test, log(f/hat) from k2, k1, k0
-                    k2, k1, k0 = table[4:, np.where(y <= rho, 0, 1)]
-                    log_ratio = power * (np.log(y) + y * (k2 * y - k1) + k0)
-                    assert np.all(np.abs(log_ratio - (log_f(y) - hat))
-                                  <= 1e-9 * np.maximum(1.0, -hat))
-
-                    def mass(log_h, lo, hi):
-                        return quad(lambda v: np.exp(log_h(v)), lo, hi, limit=200)[0]
-
-                    # left of rho both peak at 1 with curvature at least
-                    # power/rho^2 + g, so 40 body sd each side hold their mass
-                    body_sd = 1.0 / np.sqrt(body_prec)
-                    lo, hi = max(0.0, 1.0 - 40.0 * body_sd), 1.0 + 40.0 * body_sd
-                    body_mass = mass(log_body, lo, 1.0) + mass(log_body, 1.0, hi)
-                    tail_mass = mass(log_tail, rho, rho + reach)
-                    f_mass = (mass(log_f, lo, 1.0) + mass(log_f, 1.0, min(hi, rho))
-                              + mass(log_f, rho, rho + reach))
-                    total = body_mass + tail_mass
-                    assert p_body[0, 0] == pytest.approx(body_mass / total, rel=1e-6)
-                    worst = min(worst, f_mass / total)
-        assert worst >= 0.5
+                f_mass = sum(quad(lambda v: np.exp(log_f(v)), *ends, limit=200)[0]
+                             for ends in ((lo, 1.0), (1.0, hi)))
+                if g >= power:  # N(1, 1/g) on y > 0
+                    hat_mass = np.sqrt(2.0 * np.pi / g) * ndtr(np.sqrt(g))
+                else:  # y^power e^(-power (y - 1)): e^power Gamma(power + 1) / power^(power + 1)
+                    hat_mass = np.exp(power + gammaln(power + 1.0)
+                                      - (power + 1.0) * np.log(power))
+                worst = min(worst, f_mass / hat_mass)
+        assert worst >= 0.6
 
     def test_pass_cap_names_the_parameters(self):
-        # every uniform is 1.0: the tail piece is always picked, its draw
-        # lands on the join, where the hat touches the density, and the
-        # strict acceptance test refuses it
+        # every uniform is 1 - 2^-53: both entries take the normal hat (g/M'
+        # 1.26 and 1.17), whose truncated normal then draws about 8 sds out,
+        # where the acceptance (y e^(1-y))^6 is far below the uniform
         with pytest.raises(ValueError, match=(
                 f"2 draw\\(s\\) still rejected after {MAX_REJECTION_PASSES} passes")) as err:
             modified_half_normal_sample(6, np.array([14.0, 14.0]), np.array([3.0, 2.0]),
@@ -389,27 +394,31 @@ class TestAlphaKernel:
         assert "(M' 6, a 14, b 2 to 3)" in str(err.value)
 
     def test_zero_uniforms_refuse_the_zero_proposal_without_a_warning(self):
-        # every uniform 0.0: at (M' 6, a 14, b 3) each proposal is the body's
-        # lower bound y = 0, where log f = -inf refuses even an acceptance
-        # uniform of 0.0; log(0) must not warn (RuntimeWarnings are errors here)
+        # every uniform 0.0: at (M' 6, a 14, b 3), a normal-hat entry, each
+        # proposal is the truncated normal's lower bound y = 0, where the
+        # acceptance 0^6 = 0 refuses even an acceptance uniform of 0.0; no
+        # warning may be raised (RuntimeWarnings are errors here)
         with pytest.raises(ValueError, match="1 draw\\(s\\) still rejected"):
             modified_half_normal_sample(6, np.array([14.0]), np.array([3.0]),
                                         StuckGenerator(9, 0.0))
 
-    def test_zero_truncated_normal_uniforms_leave_only_the_join(self):
-        # 0.0 for the truncated normal's uniforms, the (n, proposals) calls,
-        # and real ones for the piece and acceptance uniforms: body proposals
-        # are y = 0 and refused, tail proposals land on the join rho, where
-        # the hat touches the density, and are accepted
-        class ZeroProposals(StuckGenerator):
-            def random(self, size=None):
-                return super().random(size) if len(size) == 2 else self._rng.random(size)
-
+    def test_zero_truncated_normal_uniforms_refuse_the_normal_hat(self, monkeypatch):
+        # 0.0 for the truncated normal's uniforms and real ones elsewhere:
+        # the normal-hat entries (b 3 and 2) propose y = 0, which is refused,
+        # and reach the pass cap, whose error names them alone; the
+        # gamma-hat entry (a 1, b -3) draws as usual
+        stuck = StuckGenerator(9, 0.0)
+        monkeypatch.setattr(dirichlet, "truncated_normal_sample",
+                            lambda mean, var, lower, rng: truncated_normal_sample(
+                                mean, var, lower, stuck))
         a, b = np.array([14.0, 14.0, 1.0]), np.array([3.0, 2.0, -3.0])
-        mode = alpha_hat(6, a, b)[0]
-        draws = modified_half_normal_sample(6, a, b, ZeroProposals(9, 0.0))
-        rho = 1.0 + _HAT_JOIN_SDS / np.sqrt(6)
-        np.testing.assert_allclose(draws, mode * rho, rtol=1e-12)
+        with pytest.raises(ValueError, match="2 draw\\(s\\) still rejected") as err:
+            modified_half_normal_sample(6, a, b, make_rng(9))
+        assert "(M' 6, a 14, b 2 to 3)" in str(err.value)
+        # alone, the gamma-hat entry makes no truncated-normal call
+        got = modified_half_normal_sample(6, a[2:], b[2:], make_rng(9))
+        monkeypatch.undo()
+        assert np.array_equal(got, modified_half_normal_sample(6, a[2:], b[2:], make_rng(9)))
 
     def test_snapshot_chains_mix(self):
         """Minimum ESS per kept sweep on the snapshot (3000 sweeps, 500

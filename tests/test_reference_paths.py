@@ -224,11 +224,12 @@ def test_truncated_normal_refuses_bad_variances(bad):
 
 
 def _reject_first_pass(u):
-    u[1] = 1.0  # log u = 0 is above every log(f / hat) <= 0: no proposal accepted
+    u[...] = 1.0  # above every acceptance probability f / hat <= 1: none accepted
 
 
-# (power, a, b, edit): per category and shared alpha on the snapshot, a
-# wide spread of modes, and a pass that accepts nothing, so a second runs
+# (power, a, b, edit): per category and shared alpha on the snapshot
+# (normal hat), a wide spread of modes (both hats), and a pass that accepts
+# nothing (the kernel's first draw, its acceptance uniforms), so a second runs
 ALPHA_CASES = {
     "per-category": (6, np.array([14.1, 13.2, 12.9, 15.3, 13.8, 17.0]),
                      np.array([9.8, 9.9, 10.1, 9.5, 9.7, 7.2]), None),

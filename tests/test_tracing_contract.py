@@ -71,9 +71,9 @@ def _children(tracer, parent, child):
 def test_one_batched_draw_per_update(tmp_path):
     """`update_p` draws the whole p matrix and `update_alpha` every category
     in one call each, and `predict` draws every simplex in one call. The
-    alpha kernel may take a second pass (about once in 6000 updates), so its
-    draws are counted as at least one per update and at most 1.5 on
-    average."""
+    alpha kernel makes one truncated-normal call per rejection pass, none
+    when no alpha takes its normal hat, and may take a second pass, so its
+    calls are counted as at most 1.5 per update on average."""
     sweeps = 12
     tracer = spans.Tracer()
     tracer.install()
@@ -90,7 +90,7 @@ def test_one_batched_draw_per_update(tmp_path):
                      "rng.dirichlet_log_sample") == [1] * sweeps
     alpha_draws = _children(tracer, "dirichlet.update_alpha",
                             "rng.truncated_normal_sample")
-    assert len(alpha_draws) == sweeps and min(alpha_draws) >= 1
+    assert len(alpha_draws) == sweeps
     assert sum(alpha_draws) <= 1.5 * sweeps
     assert _children(tracer, "dirichlet.posterior_predictive",
                      "rng.dirichlet_log_sample") == [1]
