@@ -43,6 +43,41 @@ class ConfigError(ValueError):
     """Bad flag combination or config-file value."""
 
 
+# Each command's help line and its options with their defaults. Every option
+# `some_name` is both the flag --some-name and the config key some_name, and
+# both take the type of its default: a bool gives a switch, None a float left
+# unset. An option whose default is "" is required.
+COMMANDS = {
+    "validate": ("run the built-in oracle checks",
+                 {"draws": 50_000, "seed": 0, "trunc": 1000}),
+    "pig-sample": ("draw from P-IG(d, c)",
+                   {"n": 10_000, "c": 0.0, "shift": 1.0, "seed": 0,
+                    "trunc": 1000, "out": "."}),
+    "fit-dirichlet": ("posterior of Dirichlet concentrations from counts",
+                      {"data": "", "id_cols": 1, "iters": 4000, "burnin": 1000,
+                       "thin": 2, "tau": None, "mean_alpha": None,
+                       "homogeneous": False, "chains": 1, "seed": 1,
+                       "trunc": 200, "out": "."}),
+    "fit-gamma-shape": ("posterior of the gamma shape from observations",
+                        {"data": "", "beta": 0.0, "prior_a": 1.0, "prior_b": 1,
+                         "prior_c": 0.0, "iters": 6000, "burnin": 1000,
+                         "thin": 10, "seed": 1, "trunc": 200, "out": "."}),
+    "predict": ("posterior-predictive simplex draws from samples",
+                {"samples": "", "draws_per_sample": 1, "seed": 1, "out": "."}),
+}
+
+# An option means the same in every command that reads it.
+HELP = {
+    "c": "tilt parameter",
+    "shift": "ladder start d_1 (default 1, the integer ladder)",
+    "mean_alpha": "prior mean for each alpha_k (maps to tau)",
+    "homogeneous": "single shared alpha",
+    "beta": "known rate",
+    "trunc": "series truncation for the P-IG sampler",
+    "out": "output directory",
+}
+
+
 def _read_config_file(path):
     out = {}
     try:
@@ -60,6 +95,15 @@ def _read_config_file(path):
     return out
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _option_type(default):
+    """The type of an option's values: its default's, float when unset."""
+    return float if default is None else type(default)
+
+
 def _coerce(raw, like):
     if isinstance(like, bool):
         lowered = raw.lower()
@@ -68,19 +112,17 @@ def _coerce(raw, like):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float) or like is None:  # None: a number left unset
-        return float(raw)
-    return raw
+    return _option_type(like)(raw)
 
 
-def _resolve(args, defaults):
-    """Apply precedence: explicit flag > config file > default."""
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
+def _resolve(args):
+    """The options of `args.command`: explicit flag > config file > default.
+    An option whose default is the empty string is required."""
+    options = COMMANDS[args.command][1]
+    file_cfg = _read_config_file(args.config) if args.config else {}
     resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
+    for key, default in options.items():
+        flag_value = getattr(args, key)
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in file_cfg:
@@ -90,9 +132,12 @@ def _resolve(args, defaults):
                 raise ConfigError(f"config key {key}: {exc}") from None
         else:
             resolved[key] = default
-    unknown = set(file_cfg) - set(defaults)
+    unknown = set(file_cfg) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, default in options.items():
+        if default == "" and not resolved[key]:
+            raise ConfigError(f"{_flag(key)} is required")
     return resolved
 
 
@@ -153,7 +198,7 @@ def _check_rows_truncnorm(n_draws, rng):
 
 
 def cmd_validate(args):
-    cfg = _resolve(args, {"draws": 50_000, "seed": 0, "trunc": 1000})
+    cfg = _resolve(args)
     if cfg["draws"] < 100:
         raise ConfigError("--draws must be at least 100")
     rng = make_rng(cfg["seed"])
@@ -182,8 +227,7 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pig_sample(args):
-    cfg = _resolve(args, {"n": 10_000, "c": 0.0, "shift": 1.0, "trunc": 1000,
-                          "seed": 0, "out": "."})
+    cfg = _resolve(args)
     params = PigParams(cfg["c"], cfg["shift"])
     if cfg["n"] < 1:
         raise ConfigError("--n must be >= 1")
@@ -215,6 +259,12 @@ def _pooled_samples(runs):
                             np.concatenate([r.iters for r in runs]), meta)
 
 
+def _chain_config(cfg):
+    return ChainConfig(
+        iterations=cfg["iters"], burn_in=cfg["burnin"], thin=cfg["thin"],
+        seed=cfg["seed"], pig_config=PigSamplerConfig(trunc_terms=cfg["trunc"]))
+
+
 def _write_fit(out, samples):
     """samples.csv, summary.json and plot_data.csv (one row per draw and
     parameter) of a fit command."""
@@ -230,18 +280,12 @@ def _write_fit(out, samples):
 
 
 def cmd_fit_dirichlet(args):
-    cfg = _resolve(args, {
-        "data": "", "id_cols": 1, "iters": 4000, "burnin": 1000, "thin": 2,
-        "seed": 1, "tau": None, "mean_alpha": None, "trunc": 200,
-        "homogeneous": False, "chains": 1, "out": ".",
-    })
-    if not cfg["data"]:
-        raise ConfigError("--data is required")
+    cfg = _resolve(args)
     if cfg["tau"] is not None and cfg["mean_alpha"] is not None:
         raise ConfigError("--tau and --mean-alpha are mutually exclusive")
-    for key, flag in (("tau", "--tau"), ("mean_alpha", "--mean-alpha")):
+    for key in ("tau", "mean_alpha"):
         if cfg[key] is not None and not 0.0 < cfg[key] < np.inf:
-            raise ConfigError(f"{flag} must be finite and > 0, got {cfg[key]}")
+            raise ConfigError(f"{_flag(key)} must be finite and > 0, got {cfg[key]}")
     counts = parse_counts_csv(cfg["data"], id_cols=cfg["id_cols"])
     if cfg["tau"] is not None:
         prior = AlphaPrior(tau=cfg["tau"])
@@ -249,9 +293,7 @@ def cmd_fit_dirichlet(args):
         prior = AlphaPrior.from_mean(cfg["mean_alpha"])
     else:
         prior = AlphaPrior.for_categories(counts.n_categories)
-    chain_config = ChainConfig(
-        iterations=cfg["iters"], burn_in=cfg["burnin"], thin=cfg["thin"],
-        seed=cfg["seed"], pig_config=PigSamplerConfig(trunc_terms=cfg["trunc"]))
+    chain_config = _chain_config(cfg)
     runner = run_chain_homogeneous if cfg["homogeneous"] else run_chain
     if cfg["chains"] < 1:
         raise ConfigError("--chains must be >= 1")
@@ -267,22 +309,13 @@ def cmd_fit_dirichlet(args):
 
 
 def cmd_fit_gamma_shape(args):
-    cfg = _resolve(args, {
-        "data": "", "beta": 0.0, "prior_a": 1.0, "prior_b": 1, "prior_c": 0.0,
-        "iters": 6000, "burnin": 1000, "thin": 10, "seed": 1, "trunc": 200,
-        "out": ".",
-    })
-    if not cfg["data"]:
-        raise ConfigError("--data is required")
+    cfg = _resolve(args)
     if cfg["beta"] <= 0:
         raise ConfigError("--beta (known rate) must be positive")
     y = parse_reals_csv(cfg["data"])
     prior = GammaShapePrior(a=cfg["prior_a"], b=cfg["prior_b"],
                             c=cfg["prior_c"], beta=cfg["beta"])
-    chain_config = ChainConfig(
-        iterations=cfg["iters"], burn_in=cfg["burnin"], thin=cfg["thin"],
-        seed=cfg["seed"], pig_config=PigSamplerConfig(trunc_terms=cfg["trunc"]))
-    samples = run_shape_chain(y, prior, chain_config)
+    samples = run_shape_chain(y, prior, _chain_config(cfg))
 
     grid = shape_posterior_grid(y, prior)
     mean, sd = grid_mean_sd(grid, shape_posterior_quadrature(y, prior, grid))
@@ -295,10 +328,7 @@ def cmd_fit_gamma_shape(args):
 # ---------------------------------------------------------------------------
 
 def cmd_predict(args):
-    cfg = _resolve(args, {"samples": "", "draws_per_sample": 1, "seed": 1,
-                          "out": "."})
-    if not cfg["samples"]:
-        raise ConfigError("--samples is required")
+    cfg = _resolve(args)
     if cfg["draws_per_sample"] < 1:
         raise ConfigError("--draws-per-sample must be >= 1")
     _, draws, names = read_samples_csv(cfg["samples"])
@@ -322,74 +352,22 @@ def cmd_predict(args):
 # parser plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, trunc=True, out=True):
-    """--seed and --config, plus --trunc and --out where the command reads them."""
-    sub.add_argument("--seed", type=int, default=None)
-    if trunc:
-        sub.add_argument("--trunc", type=int, default=None,
-                         help="series truncation for the P-IG sampler")
-    if out:
-        sub.add_argument("--out", type=str, default=None, help="output directory")
-    sub.add_argument("--config", type=str, default=None,
-                     help="flat key=value config file (flags take precedence)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polyaig",
         description="Polya-inverse Gamma random variates and Gibbs samplers "
                     "for Dirichlet concentration and gamma shape inference.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="run the built-in oracle checks")
-    p.add_argument("--draws", type=int, default=None)
-    _add_common(p, out=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("pig-sample", help="draw from P-IG(d, c)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c", type=float, default=None, help="tilt parameter")
-    p.add_argument("--shift", type=float, default=None,
-                   help="ladder start d_1 (default 1, the integer ladder)")
-    _add_common(p)
-    p.set_defaults(func=cmd_pig_sample)
-
-    p = subs.add_parser("fit-dirichlet",
-                        help="posterior of Dirichlet concentrations from counts")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--id-cols", dest="id_cols", type=int, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--burnin", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--mean-alpha", dest="mean_alpha", type=float, default=None,
-                   help="prior mean for each alpha_k (maps to tau)")
-    p.add_argument("--homogeneous", action="store_const", const=True,
-                   default=None, help="single shared alpha")
-    p.add_argument("--chains", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_dirichlet)
-
-    p = subs.add_parser("fit-gamma-shape",
-                        help="posterior of the gamma shape from observations")
-    p.add_argument("--data", type=str, default=None)
-    p.add_argument("--beta", type=float, default=None, help="known rate")
-    p.add_argument("--prior-a", dest="prior_a", type=float, default=None)
-    p.add_argument("--prior-b", dest="prior_b", type=int, default=None)
-    p.add_argument("--prior-c", dest="prior_c", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--burnin", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_gamma_shape)
-
-    p = subs.add_parser("predict",
-                        help="posterior-predictive simplex draws from samples")
-    p.add_argument("--samples", type=str, default=None)
-    p.add_argument("--draws-per-sample", dest="draws_per_sample", type=int,
-                   default=None)
-    _add_common(p, trunc=False)
-    p.set_defaults(func=cmd_predict)
+    for command, (summary, options) in COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        for key, default in options.items():
+            kind = ({"action": "store_const", "const": True}
+                    if isinstance(default, bool) else {"type": _option_type(default)})
+            sub.add_argument(_flag(key), help=HELP.get(key), **kind)
+        sub.add_argument("--config",
+                         help="flat key=value config file (flags take precedence)")
+        # looked up on each build, so a rebound cmd_* is the one that runs
+        sub.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 
@@ -401,10 +379,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ValueError) as exc:

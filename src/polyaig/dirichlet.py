@@ -78,7 +78,7 @@ class CountMatrix:
         if counts.ndim != 2:
             raise ValueError("counts must be a 2-D array")
         if not np.issubdtype(counts.dtype, np.integer):
-            if not np.all(counts == np.floor(counts)):
+            if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
                 raise ValueError("counts must be integers")
         m, k = counts.shape
         if unit_labels is None:
@@ -123,6 +123,9 @@ class AlphaPrior:
     def __post_init__(self):
         if not (isinstance(self.tau, numbers.Real) and 0.0 < self.tau < np.inf):
             raise ValueError(f"tau must be one finite number > 0, got {self.tau!r}")
+        scale = 2.0 * float(self.tau) * float(self.tau)  # as in alpha_coefficients
+        if not (scale > 0.0 and math.isfinite(1.0 / scale)):
+            raise ValueError(f"tau {self.tau!r} is too small: 1/(2 tau^2) overflows")
 
     @classmethod
     def for_categories(cls, k):

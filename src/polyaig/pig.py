@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from threading import Lock
 from typing import NamedTuple
 
@@ -94,9 +94,6 @@ _POW2 = 2 ** np.arange(_MAX_LEVEL + 1)
 # power of two, so u * _GUIDE and the bucket ends j / _GUIDE are exact.
 _GUIDE = 2**12
 _GUIDE_0D = np.array(float(_GUIDE))  # 0-d: see `_tail_start`
-
-# g -> P(nu <= j), j = 0..g, of the g-fold mixture; filled on first use
-_ORDER_CDFS = {}
 
 # Layouts of grouped draws kept for reuse (`_LayoutCache`): the
 # _LAYOUT_SLOTS last used, each of at most _LAYOUT_ENTRIES entries (at most
@@ -229,15 +226,13 @@ def _group_weights(g):
     return out
 
 
+@cache
 def _order_cdf(g):
     """P(nu <= j), j = 0..g, of the g-fold mixture, built on first use:
     summed exactly, then rounded, so the table ends at 1.0."""
-    cdf = _ORDER_CDFS.get(g)
-    if cdf is None:
-        from itertools import accumulate
-        cdf = np.array([c / g**g for c in accumulate(_group_weights(g))])
-        cdf.flags.writeable = False
-        _ORDER_CDFS[g] = cdf
+    from itertools import accumulate
+    cdf = np.array([c / g**g for c in accumulate(_group_weights(g))])
+    cdf.flags.writeable = False
     return cdf
 
 

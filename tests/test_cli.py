@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyaig.chain import PosteriorSamples
-from polyaig.cli import _pooled_samples, main
+from polyaig.cli import COMMANDS, _pooled_samples, _resolve, build_parser, main
 from polyaig.io import parse_reals_csv, read_samples_csv
 from polyaig.rng import _OMEGA_SPLIT
 
@@ -146,6 +146,7 @@ class TestFitDirichlet:
         ({"tau": "-1"}, "--tau must be"),
         ({"mean_alpha": "0"}, "--mean-alpha must be"),
         ({"tau": "0", "mean_alpha": "0.5"}, "mutually exclusive"),
+        ({"tau": "1e-170"}, "tau 1e-170 is too small"),  # 2 tau^2 underflows
     ])
     def test_nonpositive_prior_values_exit_2(self, tmp_path, capsys, source,
                                              settings, named):
@@ -304,6 +305,48 @@ class TestPredict:
         assert run_cli("predict", "--samples", str(bad)) == 3
         assert f"{bad}: concentration samples must be finite and positive" in \
             capsys.readouterr().err
+
+
+class TestOptionTable:
+    @staticmethod
+    def _other_value(default):
+        """A value unlike the option's default as the command line spells it;
+        None for a switch, which takes none."""
+        if isinstance(default, bool):
+            return None
+        if isinstance(default, int):
+            return str(default + 3)
+        return "x.csv" if isinstance(default, str) else "0.75"
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (_, options) in COMMANDS.items()
+        for key in options])
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command, key):
+        options = COMMANDS[command][1]
+        default, value = options[key], self._other_value(options[key])
+        required = [arg for other, d in options.items() if d == "" and other != key
+                    for arg in ("--" + other.replace("_", "-"), "r.csv")]
+        flag = ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+        cfg = tmp_path / "opt.cfg"
+        cfg.write_text(f"{key}={'yes' if value is None else value}\n")
+        parser = build_parser()
+        from_flag = _resolve(parser.parse_args([command, *required, *flag]))
+        from_config = _resolve(parser.parse_args(
+            [command, *required, "--config", str(cfg)]))
+        assert from_flag == from_config
+        assert from_flag[key] != default
+        assert type(from_flag[key]) is type(from_config[key]) is (
+            float if default is None else type(default))
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fit-dirichlet",), "--data is required"),
+        (("fit-gamma-shape", "--beta", "2"), "--data is required"),
+        (("predict",), "--samples is required"),
+        (("predict", "--samples="), "--samples is required"),
+    ])
+    def test_required_option_left_empty_exit_2(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestUsageErrors:

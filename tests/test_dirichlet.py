@@ -90,6 +90,11 @@ class TestCountMatrix:
         with pytest.raises(ValueError):
             CountMatrix.from_array([[1, -1]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_rejected_before_the_integer_cast(self, bad):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            CountMatrix.from_array([[1.0, bad]])
+
     def test_all_zero_row_named(self):
         with pytest.raises(ValueError, match="unit_2"):
             CountMatrix.from_array([[1, 2], [0, 0]])
@@ -127,6 +132,13 @@ class TestAlphaPrior:
     def test_positive(self):
         with pytest.raises(ValueError):
             AlphaPrior(tau=0.0)
+
+    def test_tau_whose_prior_precision_overflows_is_refused(self):
+        assert AlphaPrior(tau=1e-150).tau == 1e-150  # 1/(2 tau^2) = 5e299
+        # 2 tau^2 is subnormal (1/x overflows) or underflows to 0.0
+        for tau in (1e-160, 1e-170):
+            with pytest.raises(ValueError, match=f"tau {tau!r} is too small"):
+                AlphaPrior(tau=tau)
 
 
 class TestMarginalLogLikelihood:

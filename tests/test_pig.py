@@ -457,7 +457,8 @@ class TestGroupedSums:
         import subprocess
         import sys
         src = os.path.dirname(os.path.dirname(pig.__file__))
-        code = "import polyaig.pig as p; assert p._ORDER_CDFS == {}"
+        code = ("import polyaig.pig as p; "
+                "assert p._order_cdf.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
