@@ -239,9 +239,11 @@ def modified_half_normal_sample(power, a, b, rng):
     rate power) accepted with e^(-g (y-1)^2/2): at least 0.6 of proposals
     either way (by quadrature over power 1-20000 and g/power 1e-4-1e4).
     Each pass draws the acceptance uniforms, then `_PROPOSALS_PER_PASS`
-    gamma proposals per entry, replaced for the normal-hat entries by one
-    `truncated_normal_sample` call, and each entry keeps its first accepted
-    proposal. A second pass is rare; `MAX_REJECTION_PASSES` bounds the loop.
+    proposals per entry: one gamma call for the gamma-hat entries (none if
+    there are none), then one `truncated_normal_sample` call for the
+    normal-hat entries (none if there are none). Each entry keeps its first
+    accepted proposal. A second pass is rare; `MAX_REJECTION_PASSES` bounds
+    the loop.
     """
     mode, g = alpha_mode(power, a, b)
     normal = g >= power
@@ -254,8 +256,13 @@ def modified_half_normal_sample(power, a, b, rng):
     out, done = None, None
     for _ in range(MAX_REJECTION_PASSES):
         u = rng.random((n, _PROPOSALS_PER_PASS))
-        y = rng.standard_gamma(power + 1.0, u.shape) / power
-        if n_normal:
+        if n_normal == 0:
+            y = rng.standard_gamma(power + 1.0, u.shape) / power
+        else:
+            y = np.empty(u.shape)
+            if n_normal < n:
+                y[~normal] = rng.standard_gamma(
+                    power + 1.0, (n - n_normal, u.shape[1])) / power
             y[normal] = truncated_normal_sample(1.0, var, np.zeros((1, u.shape[1])), rng)
         # linear scale: a proposal y = 0 gives 0^power = 0, refused even at
         # an acceptance uniform of 0.0
@@ -279,8 +286,9 @@ def update_alpha(state, prior, rng):
     """alpha | w, eta, p: one exact draw per alpha from its conditional
     alpha^M' exp(-a alpha^2 + b alpha), M' = M * `per_alpha`, with (a, b)
     from `alpha_coefficients`, by `modified_half_normal_sample`: no slice
-    variable, and per rejection pass one gamma call, plus one
-    `truncated_normal_sample` call if an alpha takes the normal hat."""
+    variable, and per rejection pass one gamma call if an alpha takes the
+    gamma hat and one `truncated_normal_sample` call if one takes the normal
+    hat."""
     a, b = alpha_coefficients(state.w, state.log_p, state.eta, prior)
     return modified_half_normal_sample(state.log_p.shape[0] * state.per_alpha, a, b, rng)
 

@@ -30,30 +30,49 @@ polynomials and properties of Student-t distributions", Constr. Approx.
 is that mixture tilted by exp(-c^2 x/2): exact rejection from the mixture,
 accepting with probability ((1 + omega) e^{-omega})^g, omega = delta_k c.
 
+Berg & Vignat's result covers unequal scales too: a sum of independent
+Student-t variables of odd degrees of freedom and any scales is a mixture
+of such t's. So a run of terms, `copies` copies of each, sums untilted to
+the mixture over nu of InvGamma(nu + 1/2, Delta^2/2), Delta the sum of its
+n summands' deltas, with weights that solve
+prod_k (1 + delta_k y/Delta)^copies = sum_nu p_nu theta_nu(y)/theta_nu(0);
+a g-sum is the run of one term (`_run_weights`). Tilted, a run accepts
+with probability prod_k ((1 + omega_k) e^{-omega_k})^copies.
+
 Every draw at omega <= `_OMEGA_SPLIT` goes this way. Each ladder term gets
 its group sizes once, at its largest omega within the split among the
 call's rows, so each group accepts at least half its proposals; the sizes
 set only the cost, as each group is an exact draw at its own row's tilt. A
 single copy's group is the InvGamma(3/2, beta_k) proposal itself (nu = 1,
 no order to draw). Terms above the split are single `gig_rvs` draws.
+The terms also fall in aligned blocks of 2**L, with copies * 2**L the
+most summands up to 2**_MAX_LEVEL = 32 (a run's weights take about
+0.5 ms to solve at 32 summands, 140 ms at 192). At the call's top tilt, a
+block whose cells are all within the split and whose copies * sum of
+(omega - log1p omega) is at most log 2 is drawn as one run per row, again
+accepting at least half its proposals. More than 16 copies leave a block
+of one term, so those calls draw no runs.
 
-The order nu of a g-sum is drawn by inverse CDF from a guide table (Chen &
+The order nu of a run is drawn by inverse CDF from a guide table (Chen &
 Asau, "On generating random variates from an empirical distribution",
 1974): for each of 2**12 equal buckets of the uniform, the first cdf index
 above the bucket's lower end, from which a walk forward stops at the first
-cdf above u, as `searchsorted` would. The tables of all sizes of a copy
-count are stacked, so one gather serves every size. The constants of a
-(ladder, copies) pair - the deltas, the omega-split limits, the (size x
-term) table of scales g^2 delta_k^2/2 - are computed once and kept.
+cdf above u, as `searchsorted` would. The tables of all group sizes of a
+copy count, then of a ladder's blocks, are stacked, so one gather serves
+every group. The constants of a (ladder, copies) pair - the deltas, the
+omega-split limits, the (size x term) table of scales g^2 delta_k^2/2, the
+blocks, their scales Delta^2/2 and order tables - are computed once and
+kept.
 
 A call's layout - each group's row, guide row and scale, each single's row
-and delta - depends on its tilts only through each term's group column and
-which (row, term) cells are within the split, and a chain's calls repeat a
-few layouts. So `pig_sample_with_tilts` keeps the 16 layouts
-last used (`_LayoutCache`) and looks each call's up by those; a layout of
-more than 8192 entries is built on every call. Which layout is found never
-changes a draw. A rejection pass after the first gives each of P pending
-groups min(4, ceil(1024 / P)) proposals (`_grouped_rejection`).
+and delta - depends on its tilts only through each term's group column,
+which blocks are runs and which (row, term) cells are within the split,
+and a chain's calls repeat a few layouts. So `pig_sample_with_tilts` keeps
+the 16 layouts last used (`_LayoutCache`) and looks each call's up by
+those; a layout of more than 8192 entries is built on every call. Which
+layout is found never changes a draw. A rejection pass after the first
+gives each of P pending groups min(4, ceil(1024 / P)) proposals
+(`_grouped_rejection`).
 """
 
 from __future__ import annotations
@@ -79,7 +98,9 @@ _CHUNK_ELEMENTS = 1_000_000
 
 # Grouped sums: a term takes all its copies in one group up to
 # _MAX_WHOLE_GROUP copies (the weight table's build time grows about tenfold
-# from 256 to 512), else groups of at most 2**_MAX_LEVEL terms. A retry pass
+# from 256 to 512), else groups of at most 2**_MAX_LEVEL copies; a run of
+# terms holds at most 2**_MAX_LEVEL summands (its integers are as wide as the
+# deltas' 53 bits). A retry pass
 # over P still-rejected groups gives each min(_RETRY_PROPOSALS,
 # ceil(_RETRY_BUDGET / P)) proposals: 4 each up to 341 pending, then 3, 2 and
 # from 1024 pending 1, so a pass over many groups draws few more than it needs.
@@ -200,52 +221,103 @@ def _tail_mean_ladder(shift, trunc_terms, tilts):
     return out
 
 
-def _group_weights(g):
-    """Numerators P_nu of the exact weights p_nu = P_nu / g**g, nu = 0..g,
-    of the untilted g-sum's mixture: the solution of
-    (1 + y/g)^g = sum_nu p_nu theta_nu(y)/theta_nu(0). The reverse Bessel
-    polynomials theta_nu have integer coefficients, so every p_nu has
-    denominator g**g and the triangular solve stays in integers. The
-    recurrence theta_{n+1} = (2n+1) theta_n + y^2 theta_{n-1} runs forward
-    to theta_g, then back down as the solve needs each theta_nu."""
-    from math import comb
-
+def _run_weights(parts, copies):
+    """Numerators P_nu and the denominator D of the exact weights
+    p_nu = P_nu / D, nu = 0..n, of the untilted sum of `copies` copies of
+    each term of a run, term j with delta proportional to the integer
+    parts[j] (n = copies * len(parts) summands, Delta = copies * sum(delta)).
+    With A = copies * sum(parts), the weights solve
+    prod_j (1 + parts_j y / A)^copies = sum_nu p_nu theta_nu(y)/theta_nu(0);
+    times A^n both sides have integer coefficients, so the triangular solve
+    stays in integers and D = A^n. One term, parts (1,), is the g-sum
+    (1 + y/g)^g, g = copies. The reverse Bessel recurrence
+    theta_{k+1} = (2k+1) theta_k + y^2 theta_{k-1} runs forward to theta_n,
+    then back down as the solve needs each theta_nu. A negative weight
+    raises ValueError."""
+    n, a = copies * len(parts), copies * sum(parts)
+    rest = [1]  # prod_j (A + parts_j y)^copies, ascending powers of y
+    for p in parts:
+        for _ in range(copies):
+            rest = [a * r + p * s for r, s in zip(rest + [0], [0] + rest)]
     lo, hi = [1], [1, 1]  # theta_0, theta_1, ascending powers of y
-    for n in range(1, g):
-        lo, hi = hi, [(2 * n + 1) * a + b for a, b in zip(hi + [0], [0, 0] + lo)]
-    rest = [comb(g, j) * g ** (g - j) for j in range(g + 1)]
-    out = [0] * (g + 1)
-    for nu in range(g, -1, -1):  # hi = theta_nu (leading coefficient 1)
-        q = rest[nu]  # g**g p_nu / theta_nu(0)
+    for k in range(1, n):
+        lo, hi = hi, [(2 * k + 1) * x + y for x, y in zip(hi + [0], [0, 0] + lo)]
+    out = [0] * (n + 1)
+    for nu in range(n, -1, -1):  # hi = theta_nu (leading coefficient 1)
+        q = rest[nu]  # A^n p_nu / theta_nu(0)
         out[nu] = q * hi[0]
         rest[:nu] = [r - q * t for r, t in zip(rest[:nu], hi)]
         if nu >= 2:  # theta_{nu-2} = (theta_nu - (2 nu - 1) theta_{nu-1}) / y^2
-            lo, hi = [a - (2 * nu - 1) * b for a, b in zip(hi, lo + [0])][2:], lo
+            lo, hi = [x - (2 * nu - 1) * y for x, y in zip(hi, lo + [0])][2:], lo
         else:
             hi = lo
-    return out
+    if min(out) < 0:
+        raise ValueError(f"run of parts {parts} x {copies} copies: negative "
+                         f"mixture weight {min(out)}/{a}**{n}")
+    return out, a**n
 
 
 @cache
-def _order_cdf(g):
-    """P(nu <= j), j = 0..g, of the g-fold mixture, built on first use:
-    summed exactly, then rounded, so the table ends at 1.0."""
+def _order_cdf(parts, copies):
+    """P(nu <= j), j = 0..n, of a run's mixture (`_run_weights`), built on
+    first use: summed exactly, then rounded, so the table ends at 1.0."""
     from itertools import accumulate
-    cdf = np.array([c / g**g for c in accumulate(_group_weights(g))])
+    weights, d = _run_weights(parts, copies)
+    cdf = np.array([c / d for c in accumulate(weights)])
     cdf.flags.writeable = False
     return cdf
 
 
+def _parts(deltas):
+    """The deltas as the smallest integers in their exact ratios: each float
+    is an integer over a power of two."""
+    from math import gcd
+    ratios = [d.as_integer_ratio() for d in deltas.tolist()]
+    den = max(q for _, q in ratios)
+    parts = [p * (den // q) for p, q in ratios]
+    common = gcd(*parts)
+    return tuple(p // common for p in parts)
+
+
+def _order_tables(kinds, compact=False):
+    """The stacked order tables of the runs `kinds`, (parts, copies) each:
+    per kind, its guide row of _GUIDE + 1 buckets (bucket j: the first
+    position whose cdf exceeds j / _GUIDE), its cdf with +inf appended, and
+    nu + 1/2 at each cdf position. A `compact` guide takes the smallest
+    unsigned type, a quarter of the memory of an index array, at the cost
+    of a cast of each gather (`_order_shapes`)."""
+    cdfs = [np.append(_order_cdf(*kind), np.inf) for kind in kinds]
+    cdf = np.concatenate(cdfs)
+    buckets = np.arange(_GUIDE + 1) / _GUIDE
+    guide = np.empty((len(cdfs), buckets.size),
+                     np.min_scalar_type(cdf.size) if compact else np.intp)
+    first = 0
+    for row, c in zip(guide, cdfs):  # one kind's row at a time: a small peak
+        row[:] = first + c.searchsorted(buckets, side="right")
+        first += c.size
+    return (guide.ravel(), cdf, np.concatenate([np.arange(c.size) + 0.5 for c in cdfs]))
+
+
+def _frozen(arrays):
+    """`arrays`, each array among them made read-only."""
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return arrays
+
+
 class _Groups(NamedTuple):
-    """Group sizes of one copy count and their stacked order tables."""
+    """Group sizes of one copy count, and the order tables of every kind of
+    group: one kind per size (one term), then a ladder's runs."""
 
     sizes: np.ndarray  # 1, 2, 4, ... 2**_MAX_LEVEL below copies, then copies
     bound: np.ndarray  # -log 2 / g for g = sizes[1:]
     table: np.ndarray  # (size, column): groups of each size
     low: np.ndarray  # smallest size index of each column
     half_square: np.ndarray  # g^2 / 2
-    guide: np.ndarray  # per size, per bucket j: first position with cdf > j / _GUIDE
-    cdf: np.ndarray  # each size's P(nu <= j), j = 0..g, then +inf
+    kinds: tuple  # (parts, copies) of each kind, the sizes' first
+    guide: np.ndarray  # per kind, per bucket j: first position with cdf > j / _GUIDE
+    cdf: np.ndarray  # each kind's P(nu <= j), j = 0..n, then +inf
     order: np.ndarray  # nu + 1/2 at each position of `cdf`
 
 
@@ -264,25 +336,19 @@ def _group_table(copies):
         sizes = np.append(sizes, copies)
     digit = np.arange(sizes.size)
     table = np.diag(copies // sizes) + np.triu(copies % sizes >> digit[:, None] & 1, 1)
-    cdfs = [np.append(_order_cdf(g), np.inf) for g in sizes.tolist()]
-    first = np.cumsum([0] + [c.size for c in cdfs[:-1]])
-    buckets = np.arange(_GUIDE + 1) / _GUIDE
-    guide = np.concatenate([f + c.searchsorted(buckets, side="right")
-                            for f, c in zip(first.tolist(), cdfs)])
-    groups = _Groups(sizes, -_LOG2 / sizes[1:], table, (table > 0).argmax(axis=0),
-                     sizes * sizes / 2.0, guide, np.concatenate(cdfs),
-                     np.concatenate([np.arange(c.size) + 0.5 for c in cdfs]))
-    for a in groups:
-        a.flags.writeable = False
-    return groups
+    kinds = tuple(((1,), g) for g in sizes.tolist())
+    return _Groups(*_frozen((sizes, -_LOG2 / sizes[1:], table,
+                             (table > 0).argmax(axis=0), sizes * sizes / 2.0,
+                             kinds, *_order_tables(kinds))))
 
 
 def _order_shapes(u, guide_at, groups):
-    """nu + 1/2 for uniforms u of g-sums whose size's guide row starts at
-    `guide_at`: equal to `_order_cdf(g).searchsorted(u, side="right") + 0.5`.
+    """nu + 1/2 for uniforms u of groups whose kind's guide row starts at
+    `guide_at`: equal to `_order_cdf(*kind).searchsorted(u, side="right") + 0.5`.
     The guide gives the first position whose cdf exceeds the lower end of
     u's bucket, so the walk forward stops at the first cdf above u."""
     at = groups.guide[(u * _GUIDE_0D).astype(np.intp) + guide_at]
+    at = at.astype(np.intp, copy=False)
     walk = (groups.cdf[at] <= u).nonzero()[0]
     while walk.size:
         at[walk] += 1
@@ -291,9 +357,9 @@ def _order_shapes(u, guide_at, groups):
 
 
 def _group_proposals(guide_at, scale, groups, rng):
-    """One untilted g-sum proposal per entry, x = scale / Gamma(nu + 1/2),
-    nu from the g-fold weights of the size at `guide_at`; with no
-    `guide_at` (every g = 1, so nu = 1), no order uniform is drawn."""
+    """One untilted proposal per group, x = scale / Gamma(nu + 1/2), nu from
+    the weights of the kind at `guide_at`; with no `guide_at` (every group
+    one copy of one term, so nu = 1), no order uniform is drawn."""
     if guide_at is None:
         x = rng.standard_gamma(1.5, size=scale.size)
     else:
@@ -303,8 +369,9 @@ def _group_proposals(guide_at, scale, groups, rng):
 
 
 def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
-    """One tilted g-sum per entry, scale g^2 delta^2/2, of the size whose
-    guide row starts at `guide_at` (none: every g = 1), at -tilt^2/2 =
+    """One tilted group sum per entry, scale Delta^2/2 (Delta the sum of its
+    summands' deltas), of the kind whose guide row starts at `guide_at`
+    (none: every group one copy of one term), at -tilt^2/2 =
     `neg_half_tilt2` (per entry, or 0-d for one shared tilt).
 
     A proposal (`_group_proposals`) is kept with probability
@@ -323,8 +390,8 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     passes = 1
     while todo.size:
         if passes == MAX_REJECTION_PASSES:
-            group = (1 if guide_at is None
-                     else groups.sizes[guide_at[todo] // (_GUIDE + 1)])
+            group = 1 if guide_at is None else np.array(
+                [len(p) * c for p, c in groups.kinds])[guide_at[todo] // (_GUIDE + 1)]
             raise rejection_cap_error(
                 "P-IG grouped tilt rejection", todo.size, group=group,
                 chi=np.sqrt(2.0 * scale[todo]) / group, tilt=np.sqrt(
@@ -348,16 +415,46 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     return out
 
 
+class _Ladder(NamedTuple):
+    """What `_ladder_sums` reads of a ladder and a copy count."""
+
+    deltas: np.ndarray
+    limit: np.ndarray  # omega-split limits split / delta_k
+    copies: int
+    groups: _Groups  # the copy count's sizes, and the order tables of sizes and runs
+    scales: np.ndarray  # (size, term): g^2 delta_k^2 / 2
+    lowest: float  # the smallest limit
+    copies_0d: np.ndarray  # the copies as a 0-d float (see `_tail_start`)
+    starts: np.ndarray  # first term of each block that can be a run
+    stop: int  # one past the last block's last term
+    run_bound: np.ndarray  # -log 2 / copies
+    run_scale: np.ndarray  # each block's Delta^2 / 2, Delta = copies * sum(delta)
+
+
 def _ladder_constants(deltas, copies):
-    """What `_ladder_sums` reads of a ladder and a copy count: the deltas,
-    the omega-split limits split / delta_k, the copies, their groups, the
-    (size, term) table of scales g^2 delta_k^2 / 2, the smallest limit and
-    the copies as a 0-d float (see `_tail_start`)."""
+    """The `_Ladder` of `deltas` and `copies`. Its blocks are the aligned
+    runs of 2**L terms, 2**L the largest power of two with copies * 2**L <=
+    2**_MAX_LEVEL summands, and a last shorter one of at least two terms;
+    with no such power above one (copies > 2**(_MAX_LEVEL - 1)) there are
+    none. Every block gets its order table here, after the sizes'."""
     groups = _group_table(copies)
     limit = _OMEGA_SPLIT / deltas
-    return (deltas, limit, copies, groups,
-            np.multiply.outer(groups.half_square, deltas**2), limit.min(),
-            np.array(float(copies)))
+    span = 2**_MAX_LEVEL // copies
+    span = 1 << (span.bit_length() - 1) if span else 1
+    starts = np.arange(0, deltas.size - 1 if span > 1 else 0, span)
+    ends = np.minimum(starts + span, deltas.size)
+    if starts.size:
+        kinds = groups.kinds + tuple((_parts(deltas[a:b]), copies)
+                                     for a, b in zip(starts.tolist(), ends.tolist()))
+        tables = _frozen(_order_tables(kinds, compact=True))
+        groups = groups._replace(kinds=kinds,
+                                 **dict(zip(("guide", "cdf", "order"), tables)))
+    stop = int(ends[-1]) if starts.size else 0
+    run_delta = copies * np.add.reduceat(deltas[:stop], starts) if stop else starts
+    return _Ladder(*_frozen((
+        deltas, limit, copies, groups, np.multiply.outer(groups.half_square, deltas**2),
+        limit.min(), np.array(float(copies)), starts, stop,
+        np.array(-_LOG2 / copies), run_delta * run_delta / 2.0)))
 
 
 @lru_cache(maxsize=16)
@@ -369,51 +466,74 @@ def _ladder(shift, trunc_terms, copies):
 
 class _Layout(NamedTuple):
     """Where a call's draws go, read from its shape and not from its tilts:
-    grouped entries in (size, row, term) order, then the singles."""
+    per-term groups in (size, row, term) order, runs in (block, row) order,
+    then the singles."""
 
     row: np.ndarray  # each entry's row, the index `np.bincount` sums over
-    grouped: int  # entries that are groups; the rest are singles
+    grouped: int  # entries that are groups or runs; the rest are singles
     guide_at: np.ndarray | None  # each group's guide row (`_order_shapes`), int32
-    scale: np.ndarray  # each group's g^2 delta^2 / 2
+    scale: np.ndarray  # each group's Delta^2 / 2
     delta: np.ndarray  # delta of each cell above the split; its `copies` singles follow
 
 
+def _grouping(omega, tilt, ladder):
+    """Each term's column of the group table (`_group_table`) at its top
+    omega `omega`, and which blocks are runs: those whose cells are all
+    within the split at the call's top tilt `tilt` and whose copies * sum of
+    (omega - log1p omega) is at most log 2, so that a run, like a group,
+    accepts at least half its proposals."""
+    loss = np.log1p(omega) - omega
+    col = ladder.groups.bound.searchsorted(loss, side="right")
+    if not ladder.stop:  # no blocks: the empty `starts` marks no runs
+        return col, ladder.starts
+    run = np.add.reduceat(loss[:ladder.stop], ladder.starts) >= ladder.run_bound
+    run &= tilt <= ladder.limit[ladder.starts]
+    return col, run
+
+
 def _columns(tilts, ladder):
-    """Each term's column of the group table (`_group_table`): sized at its
-    largest omega <= the split among the rows; a term with no tilt within
-    its limit reads the largest, which gives single copies."""
-    deltas, limit, _, groups, _, _, _ = ladder
+    """`_grouping` with each term sized at its largest omega <= the split
+    among the rows; a term with no tilt within its limit reads the largest,
+    which gives single copies."""
     top = np.sort(tilts)
-    top = top[top.searchsorted(limit, side="right") - 1] * deltas
-    return groups.bound.searchsorted(np.log1p(top) - top, side="right")
+    top = top[top.searchsorted(ladder.limit, side="right") - 1]
+    return _grouping(top * ladder.deltas, tilts.max(), ladder)
 
 
-def _entry_layout(rows, keep, col, ladder):
-    """The `_Layout` of the (row, term) cells in `keep` (None: all of them)
-    drawn in groups of the sizes of their term's column, the others as
-    `copies` singles."""
-    deltas, _, copies, groups, scales, _, _ = ladder
+def _entry_layout(rows, keep, col, run, ladder):
+    """The `_Layout` of the (row, term) cells in `keep` (None: all of them):
+    the blocks in `run` as one run each per row, the other kept cells in
+    groups of the sizes of their term's column, the rest as `copies`
+    singles."""
+    deltas, copies, groups = ladder.deltas, ladder.copies, ladder.groups
     if keep is None:
         keep = np.ones((rows, deltas.size), dtype=bool)
+    blocks = run.nonzero()[0]
+    free = keep
+    if blocks.size:  # the runs' terms take no per-term groups
+        free = keep.copy()
+        lengths = np.diff(np.append(ladder.starts, ladder.stop))
+        free[:, :ladder.stop] &= ~run.repeat(lengths)
     lo, hi = groups.low[col.min()], col.max() + 1  # sizes in use; low rises with c
     # groups of each (size, row, term)
-    count = groups.table[lo:hi].take(col, axis=1)[:, None, :] * keep
+    count = groups.table[lo:hi].take(col, axis=1)[:, None, :] * free
     per = count.sum(axis=2)
     row = (np.arange(per.size) % rows).repeat(per.ravel())
-    scale = np.repeat(scales[lo:hi], rows, axis=0).ravel().repeat(count.ravel())
+    scale = np.repeat(ladder.scales[lo:hi], rows, axis=0).ravel().repeat(count.ravel())
     guide_at = None
-    if hi > 1:  # a term sized above one copy has such a group at its top tilt
+    if hi > 1 or blocks.size:  # a group of more than one summand
         guide_at = np.arange(lo, hi, dtype=np.int32) * (_GUIDE + 1)
         guide_at = guide_at.repeat(per.sum(axis=1))
+    if blocks.size:
+        row = np.concatenate((row, np.tile(np.arange(rows), blocks.size)))
+        scale = np.concatenate((scale, ladder.run_scale[blocks].repeat(rows)))
+        kind = (groups.sizes.size + blocks).astype(np.int32) * (_GUIDE + 1)
+        guide_at = np.concatenate((guide_at, kind.repeat(rows)))
     one_row, one_term = np.divmod(np.flatnonzero(~keep), deltas.size)
     joined = np.concatenate((row, one_row.repeat(copies)))
     if rows == 1:  # every entry sums into row 0: a zero-stride view holds them
         joined = np.broadcast_to(np.intp(0), joined.size)
-    layout = _Layout(joined, row.size, guide_at, scale, deltas[one_term])
-    for a in (joined, guide_at, scale, layout.delta):
-        if a is not None:
-            a.flags.writeable = False
-    return layout
+    return _Layout(*_frozen((joined, row.size, guide_at, scale, deltas[one_term])))
 
 
 class _LayoutCache:
@@ -445,37 +565,38 @@ _LAYOUTS = _LayoutCache(_LAYOUT_SLOTS, _LAYOUT_ENTRIES)
 
 def _ladder_sums(ladder, tilts, rng, key=None):
     """Sum over k of `copies` exact GIG(-3/2, delta_k, tilt_i) draws, one
-    per tilt: grouped draws, then single `gig_rvs` draws where omega =
-    delta_k * tilt_i > `_OMEGA_SPLIT`, summed by `np.bincount` in draw
-    order (one row: `np.add.reduce`). With a ladder `key`, the layout is
-    looked up in `_LAYOUTS` by the key, the row count,
-    each term's column and which cells are grouped (None: every cell, when
-    no tilt exceeds the smallest limit, so each term's top tilt is the
+    per tilt: grouped draws and runs, then single `gig_rvs` draws where
+    omega = delta_k * tilt_i > `_OMEGA_SPLIT`, summed by `np.bincount` in
+    draw order (one row: `np.add.reduce`). With a ladder `key`, the layout
+    is looked up in `_LAYOUTS` by the key, the row count, each term's
+    column, the runs and which cells are grouped (None: every cell, when no
+    tilt exceeds the smallest limit, so each term's top tilt is the
     largest). A layout has at least one entry a cell, so a call of more
     cells than the cache keeps entries builds its own without a key."""
-    deltas, limit, copies, groups, _, lowest, _ = ladder
     top = tilts.max()
     if not top < np.inf:  # false for a NaN too
         raise ValueError("tilts must be finite")
-    if top <= lowest:
-        keep, top = None, top * deltas
-        col = groups.bound.searchsorted(np.log1p(top) - top, side="right")
+    if top <= ladder.lowest:
+        keep = None
+        col, run = _grouping(top * ladder.deltas, top, ladder)
     else:  # omega <= the split, as tilt <= split / delta
-        keep, col = tilts[:, None] <= limit, _columns(tilts, ladder)
-    cells = (tilts.size, keep, col, ladder)
-    if key is None or tilts.size * deltas.size > _LAYOUTS.entries:
+        keep = tilts[:, None] <= ladder.limit
+        col, run = _columns(tilts, ladder)
+    cells = (tilts.size, keep, col, run, ladder)
+    if key is None or tilts.size * ladder.deltas.size > _LAYOUTS.entries:
         layout = _entry_layout(*cells)
     else:
-        layout = _LAYOUTS.get((*key, tilts.size, col.tobytes(),
+        layout = _LAYOUTS.get((*key, tilts.size, col.tobytes(), run.tobytes(),
                                None if keep is None else keep.tobytes()), *cells)
     row, n = layout.row, layout.grouped
     one_row = tilts.size == 1  # 0-d tilt factors, with no gather over `row`
     neg = -0.5 * tilts**2
     neg = neg.reshape(()) if one_row else neg[row[:n]]
-    draws = _grouped_rejection(layout.guide_at, layout.scale, neg, groups, rng)
+    draws = _grouped_rejection(layout.guide_at, layout.scale, neg, ladder.groups, rng)
     if n < row.size:
         single = tilts if one_row else tilts[row[n:]]
-        draws = np.concatenate((draws, gig_rvs(layout.delta.repeat(copies), single, rng)))
+        draws = np.concatenate(
+            (draws, gig_rvs(layout.delta.repeat(ladder.copies), single, rng)))
     if one_row:
         return np.add.reduce(draws, keepdims=True)
     return np.bincount(row, draws, minlength=tilts.size)
@@ -513,7 +634,7 @@ def pig_sample_with_tilts(params, tilts, config, rng, copies=1):
         for lo in chunks:
             body[lo:lo + step] = _ladder_sums(ladder, flat[lo:lo + step], rng, key)
     tail = _tail_mean_ladder(params.shift, kt, tilts)
-    return body.reshape(tilts.shape) + ladder[-1] * tail
+    return body.reshape(tilts.shape) + ladder.copies_0d * tail
 
 
 def pig_sample(params, config, rng, size):

@@ -161,6 +161,18 @@ class TestFitDirichlet:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "tiny-alpha defect: at tau 1e-3 update_eta's Gamma(sum alpha) draws "
+        "underflow to 0.0, so log(eta) in alpha_coefficients is -inf and the "
+        "state check stops the chain at sweep 100 (exit 2); a log-scale eta "
+        "draw would fix it"))
+    def test_tiny_prior_tau_fits(self, tmp_path):
+        out = tmp_path / "tiny"
+        assert run_cli("fit-dirichlet", "--data", FIXTURE, "--id-cols", "2",
+                       "--tau", "1e-3", "--out", str(out)) == 0
+        _, draws, _ = read_samples_csv(out / "samples.csv")
+        assert draws.size and np.all(np.isfinite(draws)) and np.all(draws > 0)
+
     def test_prior_tau_from_default_and_config(self, tmp_path):
         assert self._fit(tmp_path / "a") == 0
         cfg = tmp_path / "prior.cfg"

@@ -413,16 +413,49 @@ CHAIN_CALLS = [
 ]
 
 
+# (copies, terms) of runs: the most terms a block of 1, 2, 3, 5, 6 and 16
+# copies holds (at most 32 summands), and a ladder's shorter last block
+RUN_SHAPES = [(1, 32), (2, 16), (3, 8), (5, 4), (6, 4), (16, 2), (1, 9)]
+
+
+def _blocks(terms, copies):
+    """(first, end) of each block of a `terms`-term ladder that may be a run:
+    aligned runs of the most terms, a power of two, whose `copies` copies
+    make at most 32 summands, the last one shorter, each of two terms or
+    more."""
+    span = 1
+    while copies * span * 2 <= 32:
+        span *= 2
+    ends = [min(a + span, terms) for a in range(0, terms, span)]
+    return np.array([(a, b) for a, b in zip(range(0, terms, span), ends)
+                     if span > 1 and b - a > 1], dtype=int).reshape(-1, 2)
+
+
+def edge_tilt(copies, block):
+    """The tilt, to rounding, at which block `block` of the integer ladder
+    (`_blocks`) has copies * sum of (omega - log1p omega) = log 2: the
+    largest tilt at which it is a run, if its cells are within the split."""
+    from scipy.optimize import brentq
+    a, b = _blocks(200, copies)[block]
+    deltas = _ladder_deltas(PigParams(), b)[a:]
+    tilt = brentq(lambda t: copies * np.sum(t * deltas - np.log1p(t * deltas))
+                  - np.log(2.0), 0.0, 1e6, xtol=1e-14, rtol=1e-15)
+    assert tilt * deltas[0] <= _OMEGA_SPLIT
+    return tilt
+
+
 class TestGroupedSums:
     """`copies` draws each entry as the sum of that many independent P-IG
     draws at its tilt, term by term in grouped variates."""
 
     @pytest.mark.parametrize("g", (1, 2, 3, 4, 5, 6, 8, 16, 32, 61, 201))
     def test_weight_table_is_exact(self, g):
-        # g**g (1 + y/g)^g = sum_nu (P_nu / theta_nu(0)) theta_nu(y), in integers
+        # g**g (1 + y/g)^g = sum_nu (P_nu / theta_nu(0)) theta_nu(y), in integers:
+        # the run of one term, parts (1,), with g copies
         from itertools import accumulate
         from math import comb, prod
-        weights = pig._group_weights(g)
+        weights, denominator = pig._run_weights((1,), g)
+        assert denominator == g**g
         thetas = _reverse_bessel_polys(g)
         assert all(w % t[0] == 0 for w, t in zip(weights, thetas))
         mixture = [0] * (g + 1)
@@ -433,19 +466,62 @@ class TestGroupedSums:
         assert all(w >= 0 for w in weights) and sum(weights) == g**g
         assert weights[0] == 0 and weights[1] == g ** (g - 2)
         assert weights[g] == prod(range(1, 2 * g, 2))
-        cdf = pig._order_cdf(g)
+        cdf = pig._order_cdf((1,), g)
         assert cdf.size == g + 1 and cdf[-1] == 1.0
         assert np.all(np.diff(cdf) >= 0.0)
         assert np.array_equal(cdf, [c / g**g for c in accumulate(weights)])
 
+    @pytest.mark.parametrize("copies, terms", RUN_SHAPES)
+    @pytest.mark.parametrize("shift, first", ((1.0, 0), (1.0, 37), (1.0, 196), (0.3, 5)))
+    def test_run_weights_are_exact(self, copies, terms, shift, first):
+        # A^n prod_k (1 + a_k y/A)^m = sum_nu (P_nu / theta_nu(0)) theta_nu(y)
+        # in integers, for the parts a_k of a block of ladder deltas, m copies
+        # each, A = m sum_k a_k and n = m * terms summands
+        from fractions import Fraction
+        from itertools import accumulate
+        deltas = _ladder_deltas(PigParams(shift=shift), first + terms)[first:]
+        parts = pig._parts(deltas)
+        assert all(Fraction(d) / Fraction(deltas[0]) == Fraction(a, parts[0])
+                   for d, a in zip(deltas.tolist(), parts))
+        weights, denominator = pig._run_weights(parts, copies)
+        n, total = copies * terms, copies * sum(parts)
+        assert denominator == total**n and len(weights) == n + 1
+        power = [1]
+        for a in parts:
+            for _ in range(copies):
+                power = [total * x + a * y for x, y in zip(power + [0], [0] + power)]
+        thetas = _reverse_bessel_polys(n)
+        assert all(w % t[0] == 0 for w, t in zip(weights, thetas))
+        mixture = [0] * (n + 1)
+        for w, theta in zip(weights, thetas):
+            for j, c in enumerate(theta):
+                mixture[j] += w // theta[0] * c
+        assert mixture == power
+        assert all(w >= 0 for w in weights) and sum(weights) == denominator
+        assert weights[0] == 0
+        cdf = pig._order_cdf(parts, copies)
+        assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        assert np.array_equal(cdf, [c / denominator for c in accumulate(weights)])
+
+    def test_run_table_refuses_a_negative_weight(self):
+        # (1 + 2y)(1 - y) = 1 + y - 2y^2 needs -2 theta_2(y)/theta_2(0): the
+        # builder names the weight instead of clipping it, and keeps no table
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative mixture weight -6/1"):
+                pig._order_cdf((2, -1), 1)
+
     @pytest.mark.parametrize("copies", (2, 3, 6, 36, 61, 201, 256, 257, 1000))
     def test_guide_table_matches_searchsorted(self, copies):
         # the guide-table lookup returns searchsorted's index for uniforms
-        # at, just below and just above every cdf value, and at both ends
-        groups = pig._group_table(copies)
-        for i, g in enumerate(groups.sizes.tolist()):
-            cdf = pig._order_cdf(g)
-            u = np.concatenate((make_rng(g).random(100_000), cdf,
+        # at, just below and just above every cdf value, and at both ends,
+        # for every group size and every block of the 200-term ladder
+        groups = pig._ladder(1.0, 200, copies).groups
+        assert groups.kinds[:groups.sizes.size] == tuple(
+            ((1,), g) for g in groups.sizes.tolist())
+        for i, kind in enumerate(groups.kinds):
+            cdf = pig._order_cdf(*kind)
+            n = 100_000 if i < groups.sizes.size else 10_000
+            u = np.concatenate((make_rng(i).random(n), cdf,
                                 np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
                                 [0.0, 1.0 - 2.0**-53]))
             u = u[(u >= 0.0) & (u <= 1.0)]
@@ -464,48 +540,81 @@ class TestGroupedSums:
 
     @staticmethod
     def recorded_groups(deltas, tilts, copies, monkeypatch):
-        """Size, row and term of every group that `_grouped_sums` hands to
-        the rejection, in its order (tilts and deltas distinct)."""
+        """Summands, row, first term and end term of every group that
+        `_grouped_sums` hands to the rejection, in its order (tilts and
+        deltas distinct), and which are runs: g copies of one term (end =
+        first + 1), or `copies` copies of each term of a block
+        (`_blocks`)."""
         seen = []
 
         def record(guide_at, scale, neg_half_tilt2, groups, rng):
-            group = (np.ones(scale.size, dtype=int) if guide_at is None
-                     else groups.sizes[guide_at // (pig._GUIDE + 1)])
-            seen.append((group, scale, neg_half_tilt2))
+            kind = (np.zeros(scale.size, dtype=int) if guide_at is None
+                    else guide_at // (pig._GUIDE + 1))
+            seen.append((np.array([len(p) * c for p, c in groups.kinds])[kind],
+                         kind >= groups.sizes.size, scale, neg_half_tilt2))
             return np.ones(scale.size)
 
         monkeypatch.setattr(pig, "_grouped_rejection", record)
         pig._grouped_sums(deltas, tilts, copies, make_rng(0))
-        (group, scale, neg), = seen
+        (group, run, scale, neg), = seen
         row = np.abs(neg[:, None] + 0.5 * tilts**2).argmin(axis=1)
-        half_chi2 = 2.0 * scale / group**2
-        term = np.abs(half_chi2[:, None] - deltas**2).argmin(axis=1)
-        assert np.allclose(half_chi2, deltas[term] ** 2, rtol=1e-12, atol=0.0)
-        return group, row, term
+        # a group's scale is (the sum of its summands' deltas)^2 / 2: g delta_k
+        # for one term, copies times the block's deltas for a run
+        chi = np.sqrt(2.0 * scale)
+        first = np.abs(chi[:, None] / group[:, None] - deltas).argmin(axis=1)
+        blocks = _blocks(deltas.size, copies)
+        block_chi = np.array([copies * deltas[a:b].sum() for a, b in blocks])
+        if run.any():
+            first[run] = blocks[np.abs(chi[run, None] - block_chi).argmin(axis=1), 0]
+        end = first + np.where(run, group // copies, 1)
+        want = [copies * deltas[a:b].sum() if r else g * deltas[a]
+                for a, b, r, g in zip(first, end, run, group)]
+        assert np.allclose(chi, want, rtol=1e-12, atol=0.0)
+        return group, row, first, end, run
 
     def test_group_sizes(self, monkeypatch):
         deltas = _ladder_deltas(PigParams(), 200)
         for tilts, copies in itertools.product(
                 (SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5]),
+                 SQRT2 * np.array([0.39, 0.44, 0.46, 0.35, 0.41, 0.27]),
                  np.array([0.0, 0.3, 2.8, 27.0])),
-                (1, 2, 3, 6, 36, 61, 201, 256, 257, 1000)):
+                (1, 2, 3, 6, 16, 17, 36, 61, 201, 256, 257, 1000)):
             omega = tilts[:, None] * deltas
-            group, row, term = self.recorded_groups(deltas, tilts, copies, monkeypatch)
-            # (size, row, term) order
-            assert np.array_equal(np.lexsort((term, row, group)), np.arange(group.size))
-            # each cell within the split splits its copies into groups, the
-            # others are single draws
+            group, row, first, end, run = self.recorded_groups(
+                deltas, tilts, copies, monkeypatch)
+            # groups of one term in (size, row, term) order, then the runs in
+            # (block, row) order
+            one = np.flatnonzero(~run)
+            assert np.array_equal(one, np.arange(one.size))
+            assert np.array_equal(np.lexsort((first[one], row[one], group[one])),
+                                  np.arange(one.size))
+            assert np.array_equal(np.lexsort((row[run], first[run])),
+                                  np.arange(run.sum()))
+            # each cell within the split splits its copies into groups or
+            # takes them all in one run, the others are single draws
             total = np.zeros(omega.shape, dtype=int)
-            np.add.at(total, (row, term), group)
+            for r, a, b, g, is_run in zip(row, first, end, group, run):
+                total[r, a:b] += copies if is_run else g
             assert np.all(total == np.where(omega <= _OMEGA_SPLIT, copies, 0))
-            # every group of more than one copy accepts at least half its
-            # proposals at its own row's omega: ((1+w) e^-w)^g >= 1/2
-            w, g = omega[row, term], group
-            loss = g * (w - np.log1p(w))
-            assert np.all((g == 1) | (loss <= np.log(2.0) * (1 + 1e-12)))
-            if copies in (6, 36) and tilts.size == 6:
+            # every group of more than one summand accepts at least half its
+            # proposals at its own row's omega: prod ((1+w) e^-w)^copies >= 1/2
+            loss = np.array([np.sum(omega[r, a:b] - np.log1p(omega[r, a:b]))
+                             for r, a, b in zip(row, first, end)])
+            loss *= np.where(run, copies, group)
+            assert np.all((group == 1) | (loss <= np.log(2.0) * (1 + 1e-12)))
+            # the runs are the blocks whose cells are all within the split at
+            # the call's top tilt and whose loss there is at most log 2, one
+            # per row
+            top = tilts.max() * deltas
+            want = {(a, b) for a, b in _blocks(deltas.size, copies).tolist()
+                    if np.all(top[a:b] <= _OMEGA_SPLIT)
+                    and copies * np.sum(top[a:b] - np.log1p(top[a:b])) <= np.log(2.0)}
+            assert set(zip(first[run].tolist(), end[run].tolist())) == want
+            assert run.sum() == len(want) * tilts.size
+            assert (len(want) > 0) == (copies <= 16)
+            if copies in (6, 36) and tilts.max() > 7:
                 # the per-category case mixes whole groups with power-of-two ones
-                assert np.any(g == copies) and np.any((g > 1) & (g < copies))
+                assert np.any(group == copies) and np.any((group > 1) & (group < copies))
                 assert np.any(omega > _OMEGA_SPLIT)
 
     @pytest.mark.parametrize("copies", (6, 36))
@@ -517,8 +626,9 @@ class TestGroupedSums:
         deltas = _ladder_deltas(PigParams(), 40)
         pattern = SQRT2 * np.array([0.05, 0.4, 0.7, 1.3, 2.0, 7.5])
         # whole groups, power-of-two groups and terms above the split all occur
-        group, _, _ = self.recorded_groups(deltas, pattern, copies, monkeypatch)
+        group, _, _, _, run = self.recorded_groups(deltas, pattern, copies, monkeypatch)
         assert np.any(group == copies) and np.any((group > 1) & (group < copies))
+        assert run.any() == (copies <= 16)
         assert np.any(pattern[:, None] * deltas > _OMEGA_SPLIT)
         monkeypatch.undo()
         rows = np.tile(pattern, 600)
@@ -596,20 +706,52 @@ class TestGroupedSums:
             se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
             assert abs(a.mean() - b.mean()) <= 4 * se
 
+    @pytest.mark.parametrize("copies, block", ((1, 2), (3, 0), (6, 1), (16, 0)))
+    def test_run_sums_at_the_acceptance_edge(self, copies, block):
+        # a block just inside its acceptance edge is a run (accepting just
+        # over half its proposals), and just outside it is not; the run's
+        # sums have the law of `copies` summed P-IG draws
+        edge = edge_tilt(copies, block)
+        for tilt, is_run in ((edge * (1 - 1e-9), True), (edge * (1 + 1e-9), False)):
+            for terms in (200, _blocks(200, copies)[block, 1]):
+                ladder = pig._ladder(1.0, int(terms), copies)
+                assert pig._columns(np.array([tilt]), ladder)[1][block] == is_run
+        tilt = edge * (1 - 1e-9)
+        params, cfg = PigParams(c=tilt), PigSamplerConfig(trunc_terms=200)
+        sums = pig_sample_with_tilts(params, np.full(4000, tilt), cfg,
+                                     make_rng(copies), copies=copies)
+        for s in (0.3, 1.0, 3.0):
+            t = np.sqrt(s / (copies * _pig_mean(params, cfg)))
+            mc, se = mc_transform(sums, t)
+            assert abs(mc - pig_laplace_closed(params, t) ** copies) <= 4 * se
+        # moments against summed single draws, up to the block's last term
+        terms, n = int(_blocks(200, copies)[block, 1]), 1500
+        cfg = PigSamplerConfig(trunc_terms=terms)
+        grouped = pig_sample_with_tilts(params, np.full(n, tilt), cfg,
+                                        make_rng(11), copies=copies)
+        single = _gig_rvs_row_sums(_ladder_deltas(params, terms),
+                                   np.full(n * copies, tilt), make_rng(12))
+        single = (single.reshape(n, copies).sum(axis=1)
+                  + copies * _pig_tail_mean(params, cfg))
+        for a, b in ((grouped, single),
+                     ((grouped - grouped.mean())**2, (single - single.mean())**2)):
+            se = np.hypot(a.std(ddof=1), b.std(ddof=1)) / np.sqrt(n)
+            assert abs(a.mean() - b.mean()) <= 4 * se
+
     @staticmethod
     def searchsorted_proposals(guide_at, scale, groups, rng):
         """The reference `pig._group_proposals`: the order drawn by one
-        `searchsorted` of each size's cdf."""
+        `searchsorted` of each group size's or run's cdf."""
         if guide_at is None:
             x = rng.standard_gamma(1.5, size=scale.size)
         else:
             u = rng.random(scale.size)
-            size = guide_at // (pig._GUIDE + 1)
+            kind = guide_at // (pig._GUIDE + 1)
             shape = np.full(scale.size, 1.5)
-            for i, g in enumerate(groups.sizes.tolist()):
-                at = size == i
-                if g > 1 and at.any():
-                    cdf = pig._order_cdf(g)
+            for i, (parts, copies) in enumerate(groups.kinds):
+                at = kind == i
+                if len(parts) * copies > 1 and at.any():
+                    cdf = pig._order_cdf(parts, copies)
                     shape[at] = cdf.searchsorted(u[at], side="right") + 0.5
             x = rng.standard_gamma(shape)
         return np.divide(scale, x, out=x)
@@ -680,14 +822,14 @@ class TestGroupedSums:
         # tilts 1.39 and 1.0 in their columns only, and two tilts with omega
         # 0.1% above and below the split at term 9 in their cells within
         # the split only
-        delta_9 = pig._ladder(1.0, 200, 201)[0][8]
+        delta_9 = pig._ladder(1.0, 200, 201).deltas[8]
         pairs = [(np.array([1.39]), 61), (np.array([1.0]), 61),
                  (np.array([_OMEGA_SPLIT * 1.001 / delta_9]), 201),
                  (np.array([_OMEGA_SPLIT * 0.999 / delta_9]), 201)]
         for (a, copies), (b, _) in (pairs[:2], pairs[2:]):
             ladder = pig._ladder(1.0, 200, copies)
-            same_col = np.array_equal(*(pig._columns(t, ladder) for t in (a, b)))
-            same_keep = np.array_equal(*(t[:, None] <= ladder[1] for t in (a, b)))
+            same_col = np.array_equal(*(pig._columns(t, ladder)[0] for t in (a, b)))
+            same_keep = np.array_equal(*(t[:, None] <= ladder.limit for t in (a, b)))
             assert same_col != same_keep
         calls = CHAIN_CALLS + pairs[1:]  # 1.39 at 61 copies is a chain call
         order = [*range(len(calls))] * 2

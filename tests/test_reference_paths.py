@@ -2,9 +2,10 @@
 code they replaced: equal draws and the generator left in the same state.
 
 * `pig._ladder_sums` keys a call whose tilts are all within the smallest
-  omega-split limit by its columns alone, and gives a one-row call 0-d
-  tilt factors; `general_key_sums` builds every layout from the omega <=
-  split mask and `pig._columns`, and gathers a tilt factor per entry.
+  omega-split limit by its columns and runs alone, and gives a one-row call
+  0-d tilt factors; `general_key_sums` builds every layout from the omega
+  <= split mask, `pig._columns`'s term columns and runs chosen one block at
+  a time (`reference_runs`), and gathers a tilt factor per entry.
 * `pig._grouped_rejection` ends at once on a retry pass that accepts every
   pending entry and skips the first-accepted search on a pass of one
   proposal per entry; `reference_grouped_rejection` runs the general update.
@@ -16,6 +17,8 @@ code they replaced: equal draws and the generator left in the same state.
   with it in place. These two agree to rounding, not bit for bit.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -24,20 +27,35 @@ from polyaig import dirichlet, pig
 from polyaig.pig import PigParams, PigSamplerConfig, pig_sample_with_tilts
 from polyaig import rng as _rng
 from polyaig.rng import _OMEGA_SPLIT, gig_rvs, make_rng, truncated_normal_sample
-from test_pig import CHAIN_CALLS
+from test_pig import CHAIN_CALLS, edge_tilt
 
 
-def general_key_sums(ladder, tilts, rng, key=None):
+def reference_runs(ladder, keep, tilts):
+    """Which of the ladder's blocks are runs, one block at a time: every
+    cell of it within the split (`keep`), and copies * sum of (omega - log1p
+    omega) at the call's top tilt at most log 2."""
+    ends = [*ladder.starts.tolist()[1:], ladder.stop]
+    runs = []
+    for a, b in zip(ladder.starts.tolist(), ends):
+        omega = tilts.max() * ladder.deltas[a:b]
+        loss = sum((o - np.log1p(o)).item() for o in omega)
+        runs.append(bool(keep[:, a:b].all()) and ladder.copies * loss <= np.log(2.0))
+    return np.array(runs, dtype=bool)
+
+
+def general_key_sums(ladder, tilts, rng, key=None, runs=reference_runs):
     """`pig._ladder_sums` with each layout built, uncached, from the
-    omega <= split mask and `pig._columns`, and a tilt factor gathered for
-    every entry, also in a one-row call."""
-    keep = tilts[:, None] <= ladder[1]
-    layout = pig._entry_layout(tilts.size, keep, pig._columns(tilts, ladder), ladder)
+    omega <= split mask, `pig._columns`'s term columns and the runs of
+    `runs(ladder, keep, tilts)`, and a tilt factor gathered for every entry,
+    also in a one-row call."""
+    keep = tilts[:, None] <= ladder.limit
+    col, _ = pig._columns(tilts, ladder)
+    layout = pig._entry_layout(tilts.size, keep, col, runs(ladder, keep, tilts), ladder)
     row, n = layout.row, layout.grouped
     draws = pig._grouped_rejection(layout.guide_at, layout.scale,
-                                   (-0.5 * tilts**2)[row[:n]], ladder[3], rng)
+                                   (-0.5 * tilts**2)[row[:n]], ladder.groups, rng)
     if n < row.size:
-        one = gig_rvs(layout.delta.repeat(ladder[2]), tilts[row[n:]], rng)
+        one = gig_rvs(layout.delta.repeat(ladder.copies), tilts[row[n:]], rng)
         draws = np.concatenate((draws, one))
     if tilts.size == 1:  # summed in the order `pig._ladder_sums` sums one row
         return np.add.reduce(draws, keepdims=True)
@@ -112,12 +130,19 @@ class Tampered:
 
 
 # the smallest omega-split limit, split / delta_1, of the integer ladder
-LIMIT = pig._ladder(1.0, 200, 1)[5]
+LIMIT = pig._ladder(1.0, 200, 1).lowest
+# tilts just inside and just outside the acceptance edge of a run: block 1
+# of 6 copies (terms 5-8), block 2 of one copy (terms 65-96)
+EDGE_6, EDGE_1 = edge_tilt(6, 1), edge_tilt(1, 2)
 KEY_CASES = CHAIN_CALLS + [
-    (np.array([[LIMIT, 0.5, 2.0]]), 6),  # every cell omega <= 2: columns only
-    (np.array([[np.nextafter(LIMIT, np.inf), 0.5, 2.0]]), 6),  # term 1 omega > 2
+    (np.array([[LIMIT, 0.5, 2.0]]), 6),  # every cell within the split: columns only
+    (np.array([[np.nextafter(LIMIT, np.inf), 0.5, 2.0]]), 6),  # term 1 above it
     (np.array([LIMIT]), 36),
     (np.array([np.nextafter(LIMIT, np.inf)]), 36),
+    *[(np.array([[t, 0.3, 0.0]]), 6) for t in EDGE_6 * np.array([1 - 1e-9, 1 + 1e-9])],
+    *[(np.array([t, 2.0]), 1) for t in EDGE_1 * np.array([1 - 1e-9, 1 + 1e-9])],
+    (np.zeros(3), 16),  # every block a run
+    (np.array([0.5, 0.0]), 17),  # no blocks
 ]
 
 
@@ -139,6 +164,29 @@ def test_layout_key_matches_the_general_rule(tilts, copies, monkeypatch):
     assert (key[-1] is None) == (tilts.max() <= LIMIT)
     monkeypatch.setattr(pig, "_ladder_sums", general_key_sums)
     monkeypatch.setattr(pig, "_grouped_rejection", reference_grouped_rejection)
+    want, want_state = run()
+    assert np.array_equal(got, want) and got_state == want_state
+
+
+@pytest.mark.parametrize("tilts, copies", [c for c in KEY_CASES if c[1] > 16])
+def test_more_than_16_copies_keep_the_layout_without_runs(tilts, copies, monkeypatch):
+    # no block can hold two terms of more than 16 copies: the ladder builds
+    # no run table, and every call draws what a layout of groups of one
+    # term each draws, leaving the generator in the same state
+    ladder = pig._ladder(1.0, 200, copies)
+    assert ladder.starts.size == 0 and ladder.run_scale.size == 0
+    assert all(parts == (1,) for parts, _ in ladder.groups.kinds)
+    params, cfg = PigParams(), PigSamplerConfig(trunc_terms=200)
+
+    def run():
+        rng = make_rng(copies)
+        draws = [pig_sample_with_tilts(params, tilts, cfg, rng, copies=copies)
+                 for _ in range(20)]
+        return np.array(draws), rng.bit_generator.state
+
+    got, got_state = run()
+    monkeypatch.setattr(pig, "_ladder_sums", partial(
+        general_key_sums, runs=lambda ladder, keep, tilts: np.zeros(0, dtype=bool)))
     want, want_state = run()
     assert np.array_equal(got, want) and got_state == want_state
 

@@ -328,16 +328,22 @@ class TestRejectionPassCap:
 
     @pytest.mark.parametrize("tilts", ([1.4] * 3, [1.4, 0.0, 2.8]))
     def test_pig_ladder_kernel(self, tilts):
-        # single copies: each term within the split (all four of tilt 1.4,
-        # omega 0.99 to 0.25) is one group of one copy; an untilted row is
-        # accepted at once, and term 1 of tilt 2.8 (omega 1.98), above the
-        # split, waits for the rejection
-        pending = 4 * tilts.count(1.4) + 3 * tilts.count(2.8)
+        # single copies, terms 1-4 of tilt 1.4 within the split (omega 0.99
+        # to 0.25, sum of omega - log1p omega 0.47 <= log 2): at top tilt 1.4
+        # they are one run per row (4 summands, chi their mean delta);
+        # beside tilt 2.8 (term 1 at omega 1.98, above the split) each is a
+        # group of one copy. An untilted row is accepted at once, and terms
+        # 2-4 of tilt 2.8 wait for the rejection
+        if max(tilts) == 1.4:
+            pending, named = len(tilts), "(group 4, chi 0.368285, tilt 1.4)"
+        else:
+            pending = 4 * tilts.count(1.4) + 3 * tilts.count(2.8)
+            named = "(group 1, chi 0.176777 to 0.707107, tilt 1.4"
         with pytest.raises(ValueError, match=self.passes_message(pending)) as err:
             pig_sample_with_tilts(PigParams(), tilts,
                                   PigSamplerConfig(trunc_terms=4), StuckGenerator(6))
         assert "P-IG grouped tilt rejection" in str(err.value)
-        assert "(group 1, chi 0.176777 to 0.707107, tilt 1.4" in str(err.value)
+        assert named in str(err.value)
 
     def test_pig_grouped_sums(self):
         # 33 copies at tilt 1.4: terms 1-3 (omega 0.99, 0.49, 0.33, all
