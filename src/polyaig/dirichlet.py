@@ -256,13 +256,10 @@ def modified_half_normal_sample(power, a, b, rng):
     out, done = None, None
     for _ in range(MAX_REJECTION_PASSES):
         u = rng.random((n, _PROPOSALS_PER_PASS))
-        if n_normal == 0:
-            y = rng.standard_gamma(power + 1.0, u.shape) / power
-        else:
-            y = np.empty(u.shape)
-            if n_normal < n:
-                y[~normal] = rng.standard_gamma(
-                    power + 1.0, (n - n_normal, u.shape[1])) / power
+        y = np.empty(u.shape)
+        if n_normal < n:
+            y[~normal] = rng.standard_gamma(power + 1.0, (n - n_normal, u.shape[1])) / power
+        if n_normal:
             y[normal] = truncated_normal_sample(1.0, var, np.zeros((1, u.shape[1])), rng)
         # linear scale: a proposal y = 0 gives 0^power = 0, refused even at
         # an acceptance uniform of 0.0

@@ -429,6 +429,7 @@ class _Ladder(NamedTuple):
     stop: int  # one past the last block's last term
     run_bound: np.ndarray  # -log 2 / copies
     run_scale: np.ndarray  # each block's Delta^2 / 2, Delta = copies * sum(delta)
+    run_limit: np.ndarray  # each block's smallest limit
 
 
 def _ladder_constants(deltas, copies):
@@ -451,10 +452,11 @@ def _ladder_constants(deltas, copies):
                                  **dict(zip(("guide", "cdf", "order"), tables)))
     stop = int(ends[-1]) if starts.size else 0
     run_delta = copies * np.add.reduceat(deltas[:stop], starts) if stop else starts
+    run_limit = np.minimum.reduceat(limit[:stop], starts) if stop else starts
     return _Ladder(*_frozen((
         deltas, limit, copies, groups, np.multiply.outer(groups.half_square, deltas**2),
         limit.min(), np.array(float(copies)), starts, stop,
-        np.array(-_LOG2 / copies), run_delta * run_delta / 2.0)))
+        np.array(-_LOG2 / copies), run_delta * run_delta / 2.0, run_limit)))
 
 
 @lru_cache(maxsize=16)
@@ -487,7 +489,7 @@ def _grouping(omega, tilt, ladder):
     if not ladder.stop:  # no blocks: the empty `starts` marks no runs
         return col, ladder.starts
     run = np.add.reduceat(loss[:ladder.stop], ladder.starts) >= ladder.run_bound
-    run &= tilt <= ladder.limit[ladder.starts]
+    run &= tilt <= ladder.run_limit
     return col, run
 
 

@@ -333,6 +333,19 @@ class TestLadderKernel:
         self.assert_same_law(deltas, np.full(40, 3.0))
         self.assert_same_law(deltas, np.array([3.0, 0.0, 0.4, 12.0, 3.0]))
 
+    def test_block_with_a_later_term_above_the_split(self):
+        # rising deltas: at tilt 1 the block's first term is within the split
+        # and its last is above it, at a loss under log 2. That block is no
+        # run, so its last cell is drawn once, as a single; at tilt 0.5 every
+        # cell is within the split and the block is a run
+        deltas = np.array([1e-3, 1e-3, 1e-3, 1.5 * _OMEGA_SPLIT])
+        ladder = pig._ladder_constants(deltas, 1)
+        assert deltas[0] <= _OMEGA_SPLIT < deltas[-1]
+        assert np.sum(deltas - np.log1p(deltas)) <= np.log(2.0)
+        for tilt, is_run in ((1.0, False), (0.5, True)):
+            assert pig._columns(np.array([tilt]), ladder)[1].tolist() == [is_run]
+            self.assert_same_law(deltas, [tilt])
+
     @pytest.mark.parametrize("tilts", ([0.5], [0.5, 9.0, 0.0, 2.0], [9.0] * 7))
     def test_single_term(self, tilts):
         self.assert_same_law(_ladder_deltas(PigParams(), 1), tilts)
@@ -520,8 +533,11 @@ class TestGroupedSums:
             ((1,), g) for g in groups.sizes.tolist())
         for i, kind in enumerate(groups.kinds):
             cdf = pig._order_cdf(*kind)
-            n = 100_000 if i < groups.sizes.size else 10_000
-            u = np.concatenate((make_rng(i).random(n), cdf,
+            if i < groups.sizes.size:  # a g-sum, kind ((1,), g)
+                u = make_rng(kind[1]).random(100_000)
+            else:
+                u = make_rng(i).random(10_000)
+            u = np.concatenate((u, cdf,
                                 np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
                                 [0.0, 1.0 - 2.0**-53]))
             u = u[(u >= 0.0) & (u <= 1.0)]
