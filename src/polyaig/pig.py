@@ -57,12 +57,12 @@ The order nu of a run is drawn by inverse CDF from a guide table (Chen &
 Asau, "On generating random variates from an empirical distribution",
 1974): for each of 2**12 equal buckets of the uniform, the first cdf index
 above the bucket's lower end, from which a walk forward stops at the first
-cdf above u, as `searchsorted` would. The tables of all group sizes of a
-copy count, then of a ladder's blocks, are stacked, so one gather serves
-every group. The constants of a (ladder, copies) pair - the deltas, the
-omega-split limits, the (size x term) table of scales g^2 delta_k^2/2, the
-blocks, their scales Delta^2/2 and order tables - are computed once and
-kept.
+cdf above u, as `searchsorted` would. A (ladder, copies) pair has one
+stacked table, its group sizes' tables then its blocks', so one gather
+serves every group. It is built when the pair is first used and kept, with
+the pair's other constants: the deltas, the omega-split limits, the
+(size x term) table of scales g^2 delta_k^2/2, and the blocks and their
+scales Delta^2/2.
 
 A call's layout - each group's row, guide row and scale, each single's row
 and delta - depends on its tilts only through each term's group column,
@@ -279,18 +279,15 @@ def _parts(deltas):
     return tuple(p // common for p in parts)
 
 
-def _order_tables(kinds, compact=False):
+def _order_tables(kinds):
     """The stacked order tables of the runs `kinds`, (parts, copies) each:
     per kind, its guide row of _GUIDE + 1 buckets (bucket j: the first
     position whose cdf exceeds j / _GUIDE), its cdf with +inf appended, and
-    nu + 1/2 at each cdf position. A `compact` guide takes the smallest
-    unsigned type, a quarter of the memory of an index array, at the cost
-    of a cast of each gather (`_order_shapes`)."""
+    nu + 1/2 at each cdf position."""
     cdfs = [np.append(_order_cdf(*kind), np.inf) for kind in kinds]
     cdf = np.concatenate(cdfs)
     buckets = np.arange(_GUIDE + 1) / _GUIDE
-    guide = np.empty((len(cdfs), buckets.size),
-                     np.min_scalar_type(cdf.size) if compact else np.intp)
+    guide = np.empty((len(cdfs), buckets.size), np.int32)
     first = 0
     for row, c in zip(guide, cdfs):  # one kind's row at a time: a small peak
         row[:] = first + c.searchsorted(buckets, side="right")
@@ -306,57 +303,20 @@ def _frozen(arrays):
     return arrays
 
 
-class _Groups(NamedTuple):
-    """Group sizes of one copy count, and the order tables of every kind of
-    group: one kind per size (one term), then a ladder's runs."""
-
-    sizes: np.ndarray  # 1, 2, 4, ... 2**_MAX_LEVEL below copies, then copies
-    bound: np.ndarray  # -log 2 / g for g = sizes[1:]
-    table: np.ndarray  # (size, column): groups of each size
-    low: np.ndarray  # smallest size index of each column
-    half_square: np.ndarray  # g^2 / 2
-    kinds: tuple  # (parts, copies) of each kind, the sizes' first
-    guide: np.ndarray  # per kind, per bucket j: first position with cdf > j / _GUIDE
-    cdf: np.ndarray  # each kind's P(nu <= j), j = 0..n, then +inf
-    order: np.ndarray  # nu + 1/2 at each position of `cdf`
-
-
-@lru_cache(maxsize=16)  # a guide table of up to 7 sizes is 230 KB
-def _group_table(copies):
-    """Group sizes for `copies` copies (powers of two below copies, up to
-    2**_MAX_LEVEL, then copies up to `_MAX_WHOLE_GROUP`) and their order
-    tables. A term at omega takes column c = `bound.searchsorted(log1p(omega)
-    - omega, side="right")`, the largest g with g (omega - log1p omega) <=
-    log 2, or g = 1, and `table[:, c]` groups of each size: copies // g of g
-    and one per binary digit of copies % g; `low[c]` is the smallest of
-    them. The order of a g-sum is the first j with P(nu <= j) > u, found by
-    `_order_shapes` from the guide row of its size."""
-    sizes = _POW2[_POW2 < copies]
-    if copies <= _MAX_WHOLE_GROUP:
-        sizes = np.append(sizes, copies)
-    digit = np.arange(sizes.size)
-    table = np.diag(copies // sizes) + np.triu(copies % sizes >> digit[:, None] & 1, 1)
-    kinds = tuple(((1,), g) for g in sizes.tolist())
-    return _Groups(*_frozen((sizes, -_LOG2 / sizes[1:], table,
-                             (table > 0).argmax(axis=0), sizes * sizes / 2.0,
-                             kinds, *_order_tables(kinds))))
-
-
-def _order_shapes(u, guide_at, groups):
+def _order_shapes(u, guide_at, ladder):
     """nu + 1/2 for uniforms u of groups whose kind's guide row starts at
     `guide_at`: equal to `_order_cdf(*kind).searchsorted(u, side="right") + 0.5`.
     The guide gives the first position whose cdf exceeds the lower end of
     u's bucket, so the walk forward stops at the first cdf above u."""
-    at = groups.guide[(u * _GUIDE_0D).astype(np.intp) + guide_at]
-    at = at.astype(np.intp, copy=False)
-    walk = (groups.cdf[at] <= u).nonzero()[0]
+    at = ladder.guide[(u * _GUIDE_0D).astype(np.intp) + guide_at].astype(np.intp)
+    walk = (ladder.cdf[at] <= u).nonzero()[0]
     while walk.size:
         at[walk] += 1
-        walk = walk[groups.cdf[at[walk]] <= u[walk]]
-    return groups.order[at]
+        walk = walk[ladder.cdf[at[walk]] <= u[walk]]
+    return ladder.order[at]
 
 
-def _group_proposals(guide_at, scale, groups, rng):
+def _group_proposals(guide_at, scale, ladder, rng):
     """One untilted proposal per group, x = scale / Gamma(nu + 1/2), nu from
     the weights of the kind at `guide_at`; with no `guide_at` (every group
     one copy of one term, so nu = 1), no order uniform is drawn."""
@@ -364,11 +324,11 @@ def _group_proposals(guide_at, scale, groups, rng):
         x = rng.standard_gamma(1.5, size=scale.size)
     else:
         u = rng.random(scale.size)
-        x = rng.standard_gamma(_order_shapes(u, guide_at, groups))
+        x = rng.standard_gamma(_order_shapes(u, guide_at, ladder))
     return np.divide(scale, x, out=x)
 
 
-def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
+def _grouped_rejection(guide_at, scale, neg_half_tilt2, ladder, rng):
     """One tilted group sum per entry, scale Delta^2/2 (Delta the sum of its
     summands' deltas), of the kind whose guide row starts at `guide_at`
     (none: every group one copy of one term), at -tilt^2/2 =
@@ -383,7 +343,7 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     pass costs more per proposal than per pass.
     """
     shared = neg_half_tilt2.ndim == 0
-    out = _group_proposals(guide_at, scale, groups, rng)
+    out = _group_proposals(guide_at, scale, ladder, rng)
     accept = neg_half_tilt2 * out
     np.exp(accept, out=accept)
     todo = (rng.random(out.size) > accept).nonzero()[0]
@@ -391,7 +351,7 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
     while todo.size:
         if passes == MAX_REJECTION_PASSES:
             group = 1 if guide_at is None else np.array(
-                [len(p) * c for p, c in groups.kinds])[guide_at[todo] // (_GUIDE + 1)]
+                [len(p) * c for p, c in ladder.kinds])[guide_at[todo] // (_GUIDE + 1)]
             raise rejection_cap_error(
                 "P-IG grouped tilt rejection", todo.size, group=group,
                 chi=np.sqrt(2.0 * scale[todo]) / group, tilt=np.sqrt(
@@ -399,7 +359,7 @@ def _grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
         each = min(_RETRY_PROPOSALS, -(-_RETRY_BUDGET // todo.size))
         rep = todo if each == 1 else todo.repeat(each)
         x = _group_proposals(None if guide_at is None else guide_at[rep],
-                             scale[rep], groups, rng)
+                             scale[rep], ladder, rng)
         accept = x * (neg_half_tilt2 if shared else neg_half_tilt2[rep])
         hit = rng.random(rep.size) <= np.exp(accept, out=accept)
         if each > 1:  # the first accepted proposal of each entry (its first if none is)
@@ -421,8 +381,14 @@ class _Ladder(NamedTuple):
     deltas: np.ndarray
     limit: np.ndarray  # omega-split limits split / delta_k
     copies: int
-    groups: _Groups  # the copy count's sizes, and the order tables of sizes and runs
+    bound: np.ndarray  # -log 2 / g for each group size g but the first, 1
+    table: np.ndarray  # (size, column): groups of each size
+    low: np.ndarray  # smallest size index of each column
     scales: np.ndarray  # (size, term): g^2 delta_k^2 / 2
+    kinds: tuple  # (parts, copies) of each kind: ((1,), g) per size, then per block
+    guide: np.ndarray  # per kind, per bucket j: first position with cdf > j / _GUIDE
+    cdf: np.ndarray  # each kind's P(nu <= j), j = 0..n, then +inf
+    order: np.ndarray  # nu + 1/2 at each position of `cdf`
     lowest: float  # the smallest limit
     copies_0d: np.ndarray  # the copies as a 0-d float (see `_tail_start`)
     starts: np.ndarray  # first term of each block that can be a run
@@ -433,28 +399,37 @@ class _Ladder(NamedTuple):
 
 
 def _ladder_constants(deltas, copies):
-    """The `_Ladder` of `deltas` and `copies`. Its blocks are the aligned
+    """The `_Ladder` of `deltas` and `copies`.
+
+    Group sizes: the powers of two below copies, up to 2**_MAX_LEVEL, then
+    copies up to `_MAX_WHOLE_GROUP`. A term at omega takes column c =
+    `bound.searchsorted(log1p(omega) - omega, side="right")`, the largest g
+    with g (omega - log1p omega) <= log 2, or g = 1, and `table[:, c]`
+    groups of each size: copies // g of g and one per binary digit of
+    copies % g; `low[c]` is the smallest of them. The blocks are the aligned
     runs of 2**L terms, 2**L the largest power of two with copies * 2**L <=
     2**_MAX_LEVEL summands, and a last shorter one of at least two terms;
     with no such power above one (copies > 2**(_MAX_LEVEL - 1)) there are
-    none. Every block gets its order table here, after the sizes'."""
-    groups = _group_table(copies)
+    none. Every kind, the sizes' then the blocks', gets its order table
+    here (`_order_tables`)."""
+    sizes = _POW2[_POW2 < copies]
+    if copies <= _MAX_WHOLE_GROUP:
+        sizes = np.append(sizes, copies)
+    digit = np.arange(sizes.size)
+    table = np.diag(copies // sizes) + np.triu(copies % sizes >> digit[:, None] & 1, 1)
     limit = _OMEGA_SPLIT / deltas
     span = 2**_MAX_LEVEL // copies
     span = 1 << (span.bit_length() - 1) if span else 1
     starts = np.arange(0, deltas.size - 1 if span > 1 else 0, span)
     ends = np.minimum(starts + span, deltas.size)
-    if starts.size:
-        kinds = groups.kinds + tuple((_parts(deltas[a:b]), copies)
-                                     for a, b in zip(starts.tolist(), ends.tolist()))
-        tables = _frozen(_order_tables(kinds, compact=True))
-        groups = groups._replace(kinds=kinds,
-                                 **dict(zip(("guide", "cdf", "order"), tables)))
+    kinds = tuple(((1,), g) for g in sizes.tolist()) + tuple(
+        (_parts(deltas[a:b]), copies) for a, b in zip(starts.tolist(), ends.tolist()))
     stop = int(ends[-1]) if starts.size else 0
     run_delta = copies * np.add.reduceat(deltas[:stop], starts) if stop else starts
     run_limit = np.minimum.reduceat(limit[:stop], starts) if stop else starts
     return _Ladder(*_frozen((
-        deltas, limit, copies, groups, np.multiply.outer(groups.half_square, deltas**2),
+        deltas, limit, copies, -_LOG2 / sizes[1:], table, (table > 0).argmax(axis=0),
+        np.multiply.outer(sizes * sizes / 2.0, deltas**2), kinds, *_order_tables(kinds),
         limit.min(), np.array(float(copies)), starts, stop,
         np.array(-_LOG2 / copies), run_delta * run_delta / 2.0, run_limit)))
 
@@ -479,13 +454,13 @@ class _Layout(NamedTuple):
 
 
 def _grouping(omega, tilt, ladder):
-    """Each term's column of the group table (`_group_table`) at its top
+    """Each term's column of the group table (`_Ladder.table`) at its top
     omega `omega`, and which blocks are runs: those whose cells are all
     within the split at the call's top tilt `tilt` and whose copies * sum of
     (omega - log1p omega) is at most log 2, so that a run, like a group,
     accepts at least half its proposals."""
     loss = np.log1p(omega) - omega
-    col = ladder.groups.bound.searchsorted(loss, side="right")
+    col = ladder.bound.searchsorted(loss, side="right")
     if not ladder.stop:  # no blocks: the empty `starts` marks no runs
         return col, ladder.starts
     run = np.add.reduceat(loss[:ladder.stop], ladder.starts) >= ladder.run_bound
@@ -507,7 +482,7 @@ def _entry_layout(rows, keep, col, run, ladder):
     the blocks in `run` as one run each per row, the other kept cells in
     groups of the sizes of their term's column, the rest as `copies`
     singles."""
-    deltas, copies, groups = ladder.deltas, ladder.copies, ladder.groups
+    deltas, copies = ladder.deltas, ladder.copies
     if keep is None:
         keep = np.ones((rows, deltas.size), dtype=bool)
     blocks = run.nonzero()[0]
@@ -516,21 +491,20 @@ def _entry_layout(rows, keep, col, run, ladder):
         free = keep.copy()
         lengths = np.diff(np.append(ladder.starts, ladder.stop))
         free[:, :ladder.stop] &= ~run.repeat(lengths)
-    lo, hi = groups.low[col.min()], col.max() + 1  # sizes in use; low rises with c
-    # groups of each (size, row, term)
-    count = groups.table[lo:hi].take(col, axis=1)[:, None, :] * free
+    lo, hi = ladder.low[col.min()], col.max() + 1  # sizes in use; low rises with c
+    # groups of each (size, row, term), then each block's run in each row
+    count = ladder.table[lo:hi].take(col, axis=1)[:, None, :] * free
     per = count.sum(axis=2)
-    row = (np.arange(per.size) % rows).repeat(per.ravel())
-    scale = np.repeat(ladder.scales[lo:hi], rows, axis=0).ravel().repeat(count.ravel())
+    row = np.concatenate(((np.arange(per.size) % rows).repeat(per.ravel()),
+                          np.tile(np.arange(rows), blocks.size)))
+    scale = np.concatenate((
+        np.repeat(ladder.scales[lo:hi], rows, axis=0).ravel().repeat(count.ravel()),
+        ladder.run_scale[blocks].repeat(rows)))
     guide_at = None
     if hi > 1 or blocks.size:  # a group of more than one summand
-        guide_at = np.arange(lo, hi, dtype=np.int32) * (_GUIDE + 1)
-        guide_at = guide_at.repeat(per.sum(axis=1))
-    if blocks.size:
-        row = np.concatenate((row, np.tile(np.arange(rows), blocks.size)))
-        scale = np.concatenate((scale, ladder.run_scale[blocks].repeat(rows)))
-        kind = (groups.sizes.size + blocks).astype(np.int32) * (_GUIDE + 1)
-        guide_at = np.concatenate((guide_at, kind.repeat(rows)))
+        kind = np.append(np.arange(lo, hi), len(ladder.table) + blocks)  # in `kinds`
+        guide_at = (kind.astype(np.int32) * (_GUIDE + 1)).repeat(
+            np.append(per.sum(axis=1), np.full(blocks.size, rows)))
     one_row, one_term = np.divmod(np.flatnonzero(~keep), deltas.size)
     joined = np.concatenate((row, one_row.repeat(copies)))
     if rows == 1:  # every entry sums into row 0: a zero-stride view holds them
@@ -594,7 +568,7 @@ def _ladder_sums(ladder, tilts, rng, key=None):
     one_row = tilts.size == 1  # 0-d tilt factors, with no gather over `row`
     neg = -0.5 * tilts**2
     neg = neg.reshape(()) if one_row else neg[row[:n]]
-    draws = _grouped_rejection(layout.guide_at, layout.scale, neg, ladder.groups, rng)
+    draws = _grouped_rejection(layout.guide_at, layout.scale, neg, ladder, rng)
     if n < row.size:
         single = tilts if one_row else tilts[row[n:]]
         draws = np.concatenate(
@@ -602,12 +576,6 @@ def _ladder_sums(ladder, tilts, rng, key=None):
     if one_row:
         return np.add.reduce(draws, keepdims=True)
     return np.bincount(row, draws, minlength=tilts.size)
-
-
-def _grouped_sums(deltas, tilts, copies, rng):
-    """`_ladder_sums` for any deltas, not only an affine ladder's; its
-    layouts are not kept."""
-    return _ladder_sums(_ladder_constants(deltas, copies), tilts, rng)
 
 
 def pig_sample_with_tilts(params, tilts, config, rng, copies=1):

@@ -271,13 +271,13 @@ class TestLadderKernel:
     @staticmethod
     def assert_same_law(deltas, pattern, draw=None):
         """`pattern` tiled until each of its tilts has 1500 rows, drawn
-        by `draw(rows, rng)` (default: `_grouped_sums` of one copy) and by
+        by `draw(rows, rng)` (default: `_ladder_sums` of one copy) and by
         `_gig_rvs_row_sums`, compared at three points of the transform."""
         deltas, pattern = np.asarray(deltas, float), np.asarray(pattern, float)
         rows = np.tile(pattern, -(-1500 // np.unique(
             pattern, return_counts=True)[1].min()))
         if draw is None:
-            got = pig._grouped_sums(deltas, rows, 1, make_rng(31))
+            got = pig._ladder_sums(pig._ladder_constants(deltas, 1), rows, make_rng(31))
         else:
             got = draw(rows, make_rng(31))
         want = _gig_rvs_row_sums(deltas, rows, make_rng(32))
@@ -327,7 +327,7 @@ class TestLadderKernel:
         self.assert_same_law(deltas, np.array([0.0, 5.0, 0.2, 11.0]))
 
     def test_explicit_ladder_not_increasing(self):
-        # the grouped sums take any deltas, not only an affine ladder's
+        # the ladder sums take any deltas, not only an affine ladder's
         deltas = 1.0 / (SQRT2 * np.array([3.0, 1.0, 7.0, 2.0, 2.0, 0.5, 9.0, 4.0]))
         assert np.any(np.diff(deltas) > 0)
         self.assert_same_law(deltas, np.full(40, 3.0))
@@ -528,12 +528,15 @@ class TestGroupedSums:
         # the guide-table lookup returns searchsorted's index for uniforms
         # at, just below and just above every cdf value, and at both ends,
         # for every group size and every block of the 200-term ladder
-        groups = pig._ladder(1.0, 200, copies).groups
-        assert groups.kinds[:groups.sizes.size] == tuple(
-            ((1,), g) for g in groups.sizes.tolist())
-        for i, kind in enumerate(groups.kinds):
+        # (the group sizes: powers of two below copies up to 32, then copies
+        # up to 256)
+        ladder = pig._ladder(1.0, 200, copies)
+        sizes = [g for g in (1, 2, 4, 8, 16, 32) if g < copies] + [copies] * (copies <= 256)
+        assert len(ladder.table) == len(sizes)
+        assert ladder.kinds[:len(sizes)] == tuple(((1,), g) for g in sizes)
+        for i, kind in enumerate(ladder.kinds):
             cdf = pig._order_cdf(*kind)
-            if i < groups.sizes.size:  # a g-sum, kind ((1,), g)
+            if i < len(sizes):  # a g-sum, kind ((1,), g)
                 u = make_rng(kind[1]).random(100_000)
             else:
                 u = make_rng(i).random(10_000)
@@ -541,7 +544,7 @@ class TestGroupedSums:
                                 np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
                                 [0.0, 1.0 - 2.0**-53]))
             u = u[(u >= 0.0) & (u <= 1.0)]
-            got = pig._order_shapes(u, np.full(u.size, i * (pig._GUIDE + 1)), groups)
+            got = pig._order_shapes(u, np.full(u.size, i * (pig._GUIDE + 1)), ladder)
             assert np.array_equal(got, cdf.searchsorted(u, side="right") + 0.5)
 
     def test_import_builds_no_weight_table(self):
@@ -557,21 +560,21 @@ class TestGroupedSums:
     @staticmethod
     def recorded_groups(deltas, tilts, copies, monkeypatch):
         """Summands, row, first term and end term of every group that
-        `_grouped_sums` hands to the rejection, in its order (tilts and
+        `_ladder_sums` hands to the rejection, in its order (tilts and
         deltas distinct), and which are runs: g copies of one term (end =
         first + 1), or `copies` copies of each term of a block
         (`_blocks`)."""
         seen = []
 
-        def record(guide_at, scale, neg_half_tilt2, groups, rng):
+        def record(guide_at, scale, neg_half_tilt2, ladder, rng):
             kind = (np.zeros(scale.size, dtype=int) if guide_at is None
                     else guide_at // (pig._GUIDE + 1))
-            seen.append((np.array([len(p) * c for p, c in groups.kinds])[kind],
-                         kind >= groups.sizes.size, scale, neg_half_tilt2))
+            seen.append((np.array([len(p) * c for p, c in ladder.kinds])[kind],
+                         kind >= len(ladder.table), scale, neg_half_tilt2))
             return np.ones(scale.size)
 
         monkeypatch.setattr(pig, "_grouped_rejection", record)
-        pig._grouped_sums(deltas, tilts, copies, make_rng(0))
+        pig._ladder_sums(pig._ladder_constants(deltas, copies), tilts, make_rng(0))
         (group, run, scale, neg), = seen
         row = np.abs(neg[:, None] + 0.5 * tilts**2).argmin(axis=1)
         # a group's scale is (the sum of its summands' deltas)^2 / 2: g delta_k
@@ -648,7 +651,7 @@ class TestGroupedSums:
         assert np.any(pattern[:, None] * deltas > _OMEGA_SPLIT)
         monkeypatch.undo()
         rows = np.tile(pattern, 600)
-        got = pig._grouped_sums(deltas, rows, copies, make_rng(33))
+        got = pig._ladder_sums(pig._ladder_constants(deltas, copies), rows, make_rng(33))
         want = _gig_rvs_row_sums(deltas, rows.repeat(copies), make_rng(34))
         want = want.reshape(-1, copies).sum(axis=1)
         for tilt in pattern:
@@ -670,9 +673,9 @@ class TestGroupedSums:
             calls.append([])
             return rejection(*args)
 
-        def record_proposals(guide_at, scale, groups, rng):
+        def record_proposals(guide_at, scale, ladder, rng):
             calls[-1].append(scale.size)
-            return proposals(guide_at, scale, groups, rng)
+            return proposals(guide_at, scale, ladder, rng)
 
         monkeypatch.setattr(pig, "_grouped_rejection", record_rejection)
         monkeypatch.setattr(pig, "_group_proposals", record_proposals)
@@ -755,7 +758,7 @@ class TestGroupedSums:
             assert abs(a.mean() - b.mean()) <= 4 * se
 
     @staticmethod
-    def searchsorted_proposals(guide_at, scale, groups, rng):
+    def searchsorted_proposals(guide_at, scale, ladder, rng):
         """The reference `pig._group_proposals`: the order drawn by one
         `searchsorted` of each group size's or run's cdf."""
         if guide_at is None:
@@ -764,7 +767,7 @@ class TestGroupedSums:
             u = rng.random(scale.size)
             kind = guide_at // (pig._GUIDE + 1)
             shape = np.full(scale.size, 1.5)
-            for i, (parts, copies) in enumerate(groups.kinds):
+            for i, (parts, copies) in enumerate(ladder.kinds):
                 at = kind == i
                 if len(parts) * copies > 1 and at.any():
                     cdf = pig._order_cdf(parts, copies)
@@ -795,7 +798,7 @@ class TestGroupedSums:
         pending = [2000, 1500, 700, 400, 341, 65, 64, 3, 0]
         sizes = []
 
-        def proposals(guide_at, scale, groups, rng):
+        def proposals(guide_at, scale, ladder, rng):
             now = pending[len(sizes)]
             sizes.append(scale.size)
             each = scale.size // now
@@ -806,7 +809,7 @@ class TestGroupedSums:
         monkeypatch.setattr(pig, "_group_proposals", proposals)
         n = pending[0]
         out = pig._grouped_rejection(None, np.ones(n), np.full(n, -1.0),
-                                     pig._group_table(2), make_rng(0))
+                                     pig._ladder(1.0, 200, 2), make_rng(0))
         assert np.array_equal(out, np.zeros(n))
         budget, most = pig._RETRY_BUDGET, pig._RETRY_PROPOSALS
         assert sizes == [n] + [p * min(most, -(-budget // p)) for p in pending[1:-1]]

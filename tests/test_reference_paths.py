@@ -53,7 +53,7 @@ def general_key_sums(ladder, tilts, rng, key=None, runs=reference_runs):
     layout = pig._entry_layout(tilts.size, keep, col, runs(ladder, keep, tilts), ladder)
     row, n = layout.row, layout.grouped
     draws = pig._grouped_rejection(layout.guide_at, layout.scale,
-                                   (-0.5 * tilts**2)[row[:n]], ladder.groups, rng)
+                                   (-0.5 * tilts**2)[row[:n]], ladder, rng)
     if n < row.size:
         one = gig_rvs(layout.delta.repeat(ladder.copies), tilts[row[n:]], rng)
         draws = np.concatenate((draws, one))
@@ -62,17 +62,17 @@ def general_key_sums(ladder, tilts, rng, key=None, runs=reference_runs):
     return np.bincount(row, draws, minlength=tilts.size)
 
 
-def reference_grouped_rejection(guide_at, scale, neg_half_tilt2, groups, rng):
+def reference_grouped_rejection(guide_at, scale, neg_half_tilt2, ladder, rng):
     """`pig._grouped_rejection` with every pass ending in the general
     bookkeeping, also the pass that accepts every pending entry and a pass
     of one proposal per entry."""
-    out = pig._group_proposals(guide_at, scale, groups, rng)
+    out = pig._group_proposals(guide_at, scale, ladder, rng)
     todo = (rng.random(out.size) > np.exp(neg_half_tilt2 * out)).nonzero()[0]
     while todo.size:
         each = min(pig._RETRY_PROPOSALS, -(-pig._RETRY_BUDGET // todo.size))
         rep = todo.repeat(each)
         x = pig._group_proposals(None if guide_at is None else guide_at[rep],
-                                 scale[rep], groups, rng)
+                                 scale[rep], ladder, rng)
         keep = rng.random(rep.size) <= np.exp(neg_half_tilt2[rep] * x)
         first = keep.reshape(-1, each).argmax(axis=1) + np.arange(0, rep.size, each)
         hit = keep[first]
@@ -175,7 +175,7 @@ def test_more_than_16_copies_keep_the_layout_without_runs(tilts, copies, monkeyp
     # term each draws, leaving the generator in the same state
     ladder = pig._ladder(1.0, 200, copies)
     assert ladder.starts.size == 0 and ladder.run_scale.size == 0
-    assert all(parts == (1,) for parts, _ in ladder.groups.kinds)
+    assert all(parts == (1,) for parts, _ in ladder.kinds)
     params, cfg = PigParams(), PigSamplerConfig(trunc_terms=200)
 
     def run():
