@@ -43,8 +43,8 @@ import numpy as np
 
 from .chain import sample_chain
 from .pig import PigParams, pig_sample_with_tilts
-from .rng import (MAX_REJECTION_PASSES, dirichlet_log_sample, make_rng,
-                  rejection_cap_error, truncated_normal_sample)
+from .rng import (MAX_REJECTION_PASSES, dirichlet_log_sample, gamma_log_sample,
+                  make_rng, rejection_cap_error, truncated_normal_sample)
 from .special import EULER_GAMMA, log_gamma
 
 _SQRT2 = np.array(np.sqrt(2.0))  # 0-d: see `pig._tail_start`
@@ -145,7 +145,7 @@ class AlphaPrior:
 
 @dataclass
 class DirichletChainState:
-    """Current (alpha, log_p, w, eta) of the concentration Gibbs sampler.
+    """Current (alpha, log_p, w, log_eta) of the concentration Gibbs sampler.
 
     `alpha` holds one concentration per category, or one shared by all K
     categories; each alpha stands for `per_alpha` = K // alpha.size
@@ -156,15 +156,17 @@ class DirichletChainState:
     alpha: np.ndarray       # (K,), or (1,) when shared
     log_p: np.ndarray       # (M, K)
     w: np.ndarray           # (1, alpha.size) auxiliary totals
-    eta: np.ndarray         # (M,)
+    log_eta: np.ndarray     # (M,)
 
     @property
     def per_alpha(self):
         return self.log_p.shape[1] // self.alpha.size
 
     def validate(self):
-        if np.any(self.alpha <= 0) or np.any(self.eta <= 0) or np.any(self.w <= 0):
+        if np.any(self.alpha <= 0) or np.any(self.w <= 0):
             raise ValueError("state positivity violated")
+        if not np.all(np.isfinite(self.log_eta)):
+            raise ValueError("log_eta must be finite")
         row_sums = np.exp(self.log_p).sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-10):
             raise ValueError("log_p rows must exponentiate to the simplex")
@@ -178,9 +180,11 @@ class DirichletChainState:
 # ---------------------------------------------------------------------------
 
 def update_eta(state, rng):
-    """eta_m | alpha ~ Gamma(sum_k alpha_k, 1), independently per unit."""
+    """log eta_m, eta_m | alpha ~ Gamma(sum_k alpha_k, 1) independently per
+    unit, drawn in log scale (`gamma_log_sample`): finite however small the
+    alphas."""
     shape = float(state.alpha.sum()) * state.per_alpha
-    return rng.standard_gamma(shape, size=state.log_p.shape[0])
+    return gamma_log_sample(shape, rng, state.log_p.shape[0])
 
 
 def update_w(state, pig_config, rng):
@@ -198,7 +202,7 @@ def update_p(state, counts, rng):
     return dirichlet_log_sample(counts.counts + state.alpha, rng)
 
 
-def alpha_coefficients(w, log_p, eta, prior):
+def alpha_coefficients(w, log_p, log_eta, prior):
     """Quadratic/linear coefficients (a_j, b_j) of the update of alpha_j,
     which stands for r = K // w.shape[1] categories.
 
@@ -213,7 +217,7 @@ def alpha_coefficients(w, log_p, eta, prior):
         raise ValueError("alpha update needs at least one unit")
     n = w.shape[1]
     a = np.add.reduce(w) + 1.0 / (2.0 * prior.tau * prior.tau)
-    b = np.add.reduce(log_p) + (float(np.add.reduce(np.log(eta))) + m * EULER_GAMMA)
+    b = np.add.reduce(log_p) + (float(np.add.reduce(log_eta)) + m * EULER_GAMMA)
     return a, b if n == k else b.reshape(n, -1).sum(axis=1)
 
 
@@ -286,13 +290,13 @@ def update_alpha(state, prior, rng):
     variable, and per rejection pass one gamma call if an alpha takes the
     gamma hat and one `truncated_normal_sample` call if one takes the normal
     hat."""
-    a, b = alpha_coefficients(state.w, state.log_p, state.eta, prior)
+    a, b = alpha_coefficients(state.w, state.log_p, state.log_eta, prior)
     return modified_half_normal_sample(state.log_p.shape[0] * state.per_alpha, a, b, rng)
 
 
 def gibbs_sweep(state, counts, prior, pig_config, rng):
     """One systematic scan: eta, then w, then p, then alpha."""
-    state.eta = update_eta(state, rng)
+    state.log_eta = update_eta(state, rng)
     state.w = update_w(state, pig_config, rng)
     state.log_p = update_p(state, counts, rng)
     state.alpha = update_alpha(state, prior, rng)
@@ -308,9 +312,9 @@ def _smoothed_log_props(counts):
 def initial_state(counts, alpha, pig_config, rng):
     """Deterministic-ish start at `alpha`, (K,) or shared (1,): p at
     smoothed empirical proportions, then one w pass and one eta pass."""
-    state = DirichletChainState(alpha, _smoothed_log_props(counts), w=None, eta=None)
+    state = DirichletChainState(alpha, _smoothed_log_props(counts), w=None, log_eta=None)
     state.w = update_w(state, pig_config, rng)
-    state.eta = update_eta(state, rng)
+    state.log_eta = update_eta(state, rng)
     return state
 
 

@@ -2,7 +2,7 @@
 
 Every sampler takes an explicit ``numpy.random.Generator``, is
 deterministic given (seed, parameters) and returns an array of draws
-(`dirichlet_log_sample` in log scale only). Parallel chains must use
+(`gamma_log_sample` and `dirichlet_log_sample` in log scale only). Parallel chains must use
 independent child streams (`child_rng`), never a shared stream.
 
 The generalized inverse Gaussian sampler serves the one order that every
@@ -73,27 +73,36 @@ def child_rng(seed, stream):
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def gamma_log_sample(shape, rng, size=None):
+    """log of Gamma(shape, 1) draws, in log scale throughout: the boost
+    identity log G_a = log G_{a+1} + log(U) / a keeps the logarithm finite
+    even where G_a underflows to zero in linear scale (tiny shapes). One
+    Gamma(shape + 1) call, then one uniform per draw; an exact uniform 0.0
+    gives -inf."""
+    x = rng.standard_gamma(shape + 1.0, size)
+    u = rng.random(np.shape(x))
+    if np.count_nonzero(u) == u.size:
+        log_u = np.log(u)
+    else:  # an exact 0.0 gives -inf
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+    return np.log(x) + log_u / shape
+
+
 def dirichlet_log_sample(conc, rng):
     """Dirichlet draw(s) as log_p, computed in log scale throughout.
 
     `conc` is a vector (one draw) or an (M, K) matrix (one draw per row,
-    normalized along the last axis). Each component uses the boost identity
-    G_a = G_{a+1} * U^(1/a) so the logarithm stays finite even when a
-    component underflows to zero in linear scale (tiny concentrations).
+    normalized along the last axis). Each component is a `gamma_log_sample`
+    draw, so the logarithm stays finite even when a component underflows
+    to zero in linear scale (tiny concentrations).
     """
     conc = np.atleast_1d(np.asarray(conc, dtype=float))
     if conc.ndim > 2 or conc.size == 0:
         raise ValueError("conc must be a nonempty vector or matrix")
     if not (conc.min() > 0.0 and conc.max() < np.inf):  # both False for a NaN
         raise ValueError("all concentrations must be finite and > 0")
-    x = rng.standard_gamma(conc + 1.0)
-    u = rng.random(conc.shape)
-    if np.count_nonzero(u) == u.size:
-        log_u = np.log(u)
-    else:  # an exact 0.0 gives log_p = -inf
-        with np.errstate(divide="ignore"):
-            log_u = np.log(u)
-    log_g = np.log(x) + log_u / conc
+    log_g = gamma_log_sample(conc, rng)
     top = log_g.max(axis=-1, keepdims=True)
     return log_g - (top + np.log(np.exp(log_g - top).sum(axis=-1, keepdims=True)))
 

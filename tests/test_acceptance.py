@@ -177,7 +177,7 @@ def test_criterion_6_alpha_update_coefficients():
     p = np.array([[0.6, 0.4]])
     eta = np.array([3.0])
     tau = 1.0
-    a, b = alpha_coefficients(w, np.log(p), eta, AlphaPrior(tau=tau))
+    a, b = alpha_coefficients(w, np.log(p), np.log(eta), AlphaPrior(tau=tau))
 
     expected_a = 0.5 + 1.0 / (2.0 * tau * tau)
     expected_b = np.log(3.0) + EULER_GAMMA + np.log(0.6)

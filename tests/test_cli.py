@@ -161,11 +161,6 @@ class TestFitDirichlet:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "tiny-alpha defect: at tau 1e-3 update_eta's Gamma(sum alpha) draws "
-        "underflow to 0.0, so log(eta) in alpha_coefficients is -inf and the "
-        "state check stops the chain at sweep 100 (exit 2); a log-scale eta "
-        "draw would fix it"))
     def test_tiny_prior_tau_fits(self, tmp_path):
         out = tmp_path / "tiny"
         assert run_cli("fit-dirichlet", "--data", FIXTURE, "--id-cols", "2",

@@ -170,7 +170,7 @@ class TestUpdates:
         state = _toy_state(counts, prior)
         state.alpha = np.array([1.2, 0.8])
         rng = make_rng(123)
-        draws = np.array([update_eta(state, rng) for _ in range(40_000)])
+        draws = np.exp([update_eta(state, rng) for _ in range(40_000)])
         se = draws.std(ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 2.0) <= 4 * se.max())
 
@@ -179,7 +179,8 @@ class TestUpdates:
         state = _toy_state(counts, AlphaPrior(tau=1.0))
         rng_a, rng_b = make_rng(9), make_rng(9)
         update_eta(state, rng_a)
-        rng_b.standard_gamma(float(state.alpha.sum()), size=2)
+        rng_b.standard_gamma(float(state.alpha.sum()) + 1.0, size=2)
+        rng_b.random(2)
         assert rng_a.random() == rng_b.random()
 
     def test_w_marginal_mean_tracks_tilt(self):
@@ -212,7 +213,7 @@ class TestUpdates:
     def _alpha_state(alpha):
         # update_p reads only alpha from the state
         return DirichletChainState(alpha=np.asarray(alpha, dtype=float),
-                                   log_p=None, w=None, eta=None)
+                                   log_p=None, w=None, log_eta=None)
 
     def test_p_posterior_mean(self):
         counts = CountMatrix.from_array(np.tile([2, 1], (40_000, 1)))
@@ -251,7 +252,7 @@ class TestAlphaCoefficients:
         w = np.array([[0.5, 0.25]])
         log_p = np.log(np.array([[0.6, 0.4]]))
         eta = np.array([3.0])
-        a, b = alpha_coefficients(w, log_p, eta, AlphaPrior(tau=1.0))
+        a, b = alpha_coefficients(w, log_p, np.log(eta), AlphaPrior(tau=1.0))
         assert a[0] == pytest.approx(1.0, abs=1e-12)
         assert b[0] == pytest.approx(1.165002329803652, abs=1e-12)
         assert b[0] == pytest.approx(np.log(3.0) + EULER_GAMMA + np.log(0.6),
@@ -261,7 +262,7 @@ class TestAlphaCoefficients:
         w = np.array([[0.5, 0.25], [1.5, 2.0]])
         log_p = np.full((2, 2), np.log(0.5))
         eta = np.array([1.0, 2.0])
-        a, _ = alpha_coefficients(w, log_p, eta, AlphaPrior(tau=1e9))
+        a, _ = alpha_coefficients(w, log_p, np.log(eta), AlphaPrior(tau=1e9))
         assert np.allclose(a, w.sum(axis=0), rtol=0, atol=1e-12)
 
     def test_column_totals_give_the_same_coefficients(self):
@@ -269,8 +270,9 @@ class TestAlphaCoefficients:
         log_p = np.log(np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.25, 0.25, 0.5]]))
         eta = np.array([1.0, 2.0, 0.5])
         prior = AlphaPrior(tau=0.5)
-        a, b = alpha_coefficients(w, log_p, eta, prior)
-        a_tot, b_tot = alpha_coefficients(w.sum(axis=0, keepdims=True), log_p, eta, prior)
+        a, b = alpha_coefficients(w, log_p, np.log(eta), prior)
+        a_tot, b_tot = alpha_coefficients(w.sum(axis=0, keepdims=True), log_p,
+                                          np.log(eta), prior)
         assert np.array_equal(a, a_tot) and np.array_equal(b, b_tot)
 
     def test_shared_alpha_coefficients_from_the_augmented_joint(self):
@@ -299,7 +301,7 @@ class TestAlphaCoefficients:
         design = np.column_stack([-grid * grid, grid, np.ones_like(grid)])
         coef = np.linalg.lstsq(design, target, rcond=None)[0]
         assert np.max(np.abs(design @ coef - target)) <= 1e-9
-        a, b = alpha_coefficients(np.array([[w.sum()]]), np.log(p), eta,
+        a, b = alpha_coefficients(np.array([[w.sum()]]), np.log(p), np.log(eta),
                                   AlphaPrior(tau=tau))
         assert a.shape == b.shape == (1,)
         assert abs(a[0] - coef[0]) <= 1e-9 and abs(b[0] - coef[1]) <= 1e-9
@@ -308,7 +310,7 @@ class TestAlphaCoefficients:
         w = np.array([[0.7, 0.7], [0.2, 0.2]])
         log_p = np.full((2, 2), np.log(0.5))
         eta = np.array([1.3, 0.4])
-        a, b = alpha_coefficients(w, log_p, eta, AlphaPrior(tau=2.0))
+        a, b = alpha_coefficients(w, log_p, np.log(eta), AlphaPrior(tau=2.0))
         assert a[0] == a[1] and b[0] == b[1]
 
 
@@ -458,7 +460,7 @@ class TestSweepAndChain:
         assert np.array_equal(s1.alpha, s2.alpha)
         assert np.array_equal(s1.w, s2.w)
         assert np.array_equal(s1.log_p, s2.log_p)
-        assert np.array_equal(s1.eta, s2.eta)
+        assert np.array_equal(s1.log_eta, s2.log_eta)
 
     def test_run_chain_deterministic(self):
         counts = CountMatrix.from_array([[3, 1], [2, 5]])
@@ -534,16 +536,19 @@ class TestAgainstQuadrature:
             assert err <= 3.0 * chain_mcse(samples.draws[:, j])
 
     def test_homogeneous_m1_example(self):
+        # at tau 1e-3 the alphas sit near 1e-3, where the eta draws,
+        # Gamma(2 alpha), underflow to 0.0 in linear scale
         counts = CountMatrix.from_array([[3, 3]])
-        prior = AlphaPrior(tau=1.0)
-        grid = homogeneous_posterior_grid(counts, prior)
-        dens = quadrature_posterior(counts, prior, grid)
-        truth, _ = grid_mean_sd(grid, dens)
-        cfg = ChainConfig(iterations=11000, burn_in=1000, thin=10, seed=2,
-                          pig_config=FAST_PIG)
-        samples = run_chain_homogeneous(counts, prior, cfg)
-        draws = samples.draws[:, 0]
-        assert abs(draws.mean() - truth) <= 3.0 * chain_mcse(draws)
+        for tau in (1.0, 1e-3):
+            prior = AlphaPrior(tau=tau)
+            grid = homogeneous_posterior_grid(counts, prior)
+            dens = quadrature_posterior(counts, prior, grid)
+            truth, _ = grid_mean_sd(grid, dens)
+            cfg = ChainConfig(iterations=11000, burn_in=1000, thin=10, seed=2,
+                              pig_config=FAST_PIG)
+            samples = run_chain_homogeneous(counts, prior, cfg)
+            draws = samples.draws[:, 0]
+            assert abs(draws.mean() - truth) <= 3.0 * chain_mcse(draws)
 
     def test_homogeneous_handles_zero_counts_exactly(self):
         counts = CountMatrix.from_array([[4, 0], [0, 5], [3, 2]])
@@ -768,19 +773,21 @@ class TestPosteriorPredictive:
 
 class TestStateValidation:
     def test_bad_state_raises(self):
-        state = DirichletChainState(
-            alpha=np.array([1.0, -0.5]),
-            log_p=np.log(np.array([[0.5, 0.5]])),
-            w=np.array([[1.0, 1.0]]),
-            eta=np.array([1.0]))
-        with pytest.raises(ValueError):
-            state.validate()
+        # a negative alpha, and a log eta that a linear-scale eta of 0.0 gives
+        for alpha, log_eta in (([1.0, -0.5], [0.0]), ([1.0, 0.5], [-np.inf])):
+            state = DirichletChainState(
+                alpha=np.array(alpha),
+                log_p=np.log(np.array([[0.5, 0.5]])),
+                w=np.array([[1.0, 1.0]]),
+                log_eta=np.array(log_eta))
+            with pytest.raises(ValueError):
+                state.validate()
 
     def test_simplex_violation_detected(self):
         state = DirichletChainState(
             alpha=np.array([1.0, 0.5]),
             log_p=np.log(np.array([[0.6, 0.6]])),
             w=np.array([[1.0, 1.0]]),
-            eta=np.array([1.0]))
+            log_eta=np.array([0.0]))
         with pytest.raises(ValueError):
             state.validate()
