@@ -528,8 +528,8 @@ class TestGroupedSums:
         # the guide-table lookup returns searchsorted's index for uniforms
         # at, just below and just above every cdf value, and at both ends,
         # for every group size and every block of the 200-term ladder
-        # (the group sizes: powers of two below copies up to 32, then copies
-        # up to 256)
+        # the group sizes: the powers of two below copies, up to 32, then
+        # copies if at most 256
         ladder = pig._ladder(1.0, 200, copies)
         sizes = [g for g in (1, 2, 4, 8, 16, 32) if g < copies] + [copies] * (copies <= 256)
         assert len(ladder.table) == len(sizes)
